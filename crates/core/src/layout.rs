@@ -136,37 +136,57 @@ pub fn producer_out_window(prev: &DistPlan, rank_id: usize) -> Option<Range4> {
     (geom.coords[2] == 0).then(|| out_range(prev, geom.coords))
 }
 
+/// Every rank's redistribution windows at one layer boundary: computed
+/// once per boundary by the caller and shared by all rank bodies, which
+/// would otherwise each rebuild all `P` of them (`O(P²)` shard
+/// geometries per boundary).
+pub(crate) struct BoundaryWindows {
+    /// [`producer_out_window`]`(prev, r)` for every rank `r`.
+    pub out: Vec<Option<Range4>>,
+    /// [`consumer_in_window`]`(next, r)` for every rank `r`.
+    pub input: Vec<Range4>,
+}
+
+impl BoundaryWindows {
+    pub(crate) fn new(prev: &DistPlan, next: &DistPlan) -> Self {
+        let procs = prev.grid.total();
+        debug_assert_eq!(procs, next.grid.total(), "same machine");
+        BoundaryWindows {
+            out: (0..procs).map(|r| producer_out_window(prev, r)).collect(),
+            input: (0..procs).map(|r| consumer_in_window(next, r)).collect(),
+        }
+    }
+}
+
 /// Exchange this rank's reduced `Out` slice into its `In` shard for
-/// `next`'s grid. Every rank computes the full static exchange pattern
-/// locally (no negotiation traffic): producers on the `i_c = 0` plane
-/// send each window intersection, then every rank assembles its shard
-/// from the producers that cover it. All sends are accounted under
-/// [`TrafficClass::Redistribution`] so the per-layer algorithmic
-/// counters stay untouched.
+/// the next layer's grid. Every rank reads the full static exchange
+/// pattern from `windows` (no negotiation traffic): producers on the
+/// `i_c = 0` plane send each window intersection, then every rank
+/// assembles its shard from the producers that cover it. All sends are
+/// accounted under [`TrafficClass::Redistribution`] so the per-layer
+/// algorithmic counters stay untouched.
 pub(crate) fn redistribute_to_next<T: Scalar>(
     rank: &Rank<T>,
-    prev: &DistPlan,
-    next: &DistPlan,
+    windows: &BoundaryWindows,
     out_slice: &Tensor4<T>,
     out_origin: [usize; 4],
     tag: Tag,
 ) -> Tensor4<T> {
     rank.set_traffic_class(TrafficClass::Redistribution);
     // Send phase (producers on the i_c = 0 plane only).
-    if let Some(out_win) = producer_out_window(prev, rank.id()) {
-        for consumer in 0..rank.size() {
-            let in_win = consumer_in_window(next, consumer);
-            if let Some(isect) = out_win.intersect(&in_win) {
+    if let Some(out_win) = windows.out[rank.id()] {
+        for (consumer, in_win) in windows.input.iter().enumerate() {
+            if let Some(isect) = out_win.intersect(in_win) {
                 let local = isect.relative_to(out_origin);
                 rank.send_vec(consumer, tag, out_slice.pack_range(local));
             }
         }
     }
     // Receive phase: assemble my next-layer In shard.
-    let my_in_win = consumer_in_window(next, rank.id());
+    let my_in_win = windows.input[rank.id()];
     let mut shard = Tensor4::<T>::zeros(my_in_win.shape());
-    for producer in 0..rank.size() {
-        let Some(out_win) = producer_out_window(prev, producer) else {
+    for (producer, out_win) in windows.out.iter().enumerate() {
+        let Some(out_win) = out_win else {
             continue;
         };
         if let Some(isect) = out_win.intersect(&my_in_win) {

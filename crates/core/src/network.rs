@@ -20,16 +20,16 @@
 //! changing shape mid-network — an effect the single-layer paper does
 //! not model, surfaced here as a first-class reported cost.
 
-use crate::distribution::{distribute, out_range, RankData};
+use crate::distribution::{out_range, shard_geometry};
 use crate::exec::CoreError;
 use crate::layout::{
-    consumer_in_window, forward_layer, producer_out_window, redistribute_to_next, LayerShards,
-    RankLayout,
+    consumer_in_window, forward_layer, producer_out_window, redistribute_to_next, BoundaryWindows,
+    LayerShards, RankLayout,
 };
 use distconv_conv::kernels::{conv2d_direct_par, in_shape, ker_shape};
 use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, PlanError, Planner};
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
-use distconv_tensor::{Scalar, Shape4, Tensor4};
+use distconv_tensor::{Scalar, Tensor4};
 use distconv_trace::{ConformanceReport, ConformanceRow, Tolerance};
 
 const TAG_REDIST_BASE: u64 = 0x0E00_0000;
@@ -280,8 +280,6 @@ pub fn redistribution_volume(prev: &DistPlan, next: &DistPlan) -> u128 {
 /// Report of a full network forward pass.
 #[derive(Clone, Debug)]
 pub struct NetworkReport {
-    /// The executed plan.
-    pub plan: NetworkPlan,
     /// Measured counters for the whole run (all layers +
     /// redistribution).
     pub stats: StatsSnapshot,
@@ -371,8 +369,14 @@ pub fn run_network_with_outputs<T: Scalar>(
     cfg: MachineConfig,
 ) -> Result<(NetworkReport, Vec<NetworkOut<T>>), CoreError> {
     let procs = plan.layers[0].grid.total();
-    let report =
-        Machine::try_run::<T, _, _>(procs, cfg, |rank| network_rank_body::<T>(rank, plan, seed))?;
+    let windows: Vec<BoundaryWindows> = plan
+        .layers
+        .windows(2)
+        .map(|w| BoundaryWindows::new(&w[0], &w[1]))
+        .collect();
+    let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
+        network_rank_body::<T>(rank, plan, &windows, seed)
+    })?;
 
     // --- Sequential reference: chain the layers. ---
     let first = plan.layers[0].problem;
@@ -422,7 +426,6 @@ pub fn run_network_with_outputs<T: Scalar>(
             .map(|l| crate::expected_volumes(l).total())
             .collect(),
         expected_redist: plan.total_redist(),
-        plan: plan.clone(),
         verified: true,
         max_peak_mem: report.peak_mem.iter().copied().max().unwrap_or(0),
         sim_time: report.sim_time,
@@ -439,44 +442,38 @@ fn layer_ker_seed(seed: u64, layer: usize) -> u64 {
 
 type NetOut<T> = Option<([usize; 5], [usize; 4], Tensor4<T>)>;
 
-fn network_rank_body<T: Scalar>(rank: &Rank<T>, plan: &NetworkPlan, seed: u64) -> NetOut<T> {
+fn network_rank_body<T: Scalar>(
+    rank: &Rank<T>,
+    plan: &NetworkPlan,
+    windows: &[BoundaryWindows],
+    seed: u64,
+) -> NetOut<T> {
     let mut carried_in: Option<Tensor4<T>> = None; // shard for the next layer
 
     let mut last_out: NetOut<T> = None;
     for (li, lp) in plan.layers.iter().enumerate() {
-        let RankData {
-            coords,
-            bhw_pos,
-            mut out_slice,
-            out_origin,
-            in_shard: seed_in_shard,
-            in_origin,
-            in_c_range: _,
-            ker_shard: _,
-            ker_origin,
-            ker_c_range: _,
-        } = distribute::<T>(lp, rank.id(), seed);
-        // Layer kernels use per-layer seeds; the distribution helper
-        // materialized layer-0-seeded kernels — rebuild with the right
-        // seed (cheap; shapes identical).
-        let ker_shard = {
-            let shape = {
-                let (kc_lo, kc_hi) = crate::distribution::ker_c_dist(lp).range(bhw_pos);
-                Shape4::new(lp.w.wk, kc_hi - kc_lo, lp.problem.nr, lp.problem.ns)
-            };
-            Tensor4::<T>::random_window(
-                shape,
-                layer_ker_seed(seed, li),
-                ker_origin,
-                ker_shape(&lp.problem),
-            )
-        };
+        let geom = shard_geometry(lp, rank.id());
+        let out_win = out_range(lp, geom.coords);
+        let out_origin = out_win.lo;
+        let mut out_slice = Tensor4::<T>::zeros(out_win.shape());
+        let in_origin = geom.in_region.lo;
         // First layer: input from the seed; later layers: from
         // redistribution.
-        let in_shard = match carried_in.take() {
-            Some(sh) => sh,
-            None => seed_in_shard,
-        };
+        let in_shard = carried_in.take().unwrap_or_else(|| {
+            Tensor4::<T>::random_window(
+                geom.in_region.shape(),
+                seed,
+                in_origin,
+                in_shape(&lp.problem),
+            )
+        });
+        let ker_origin = geom.ker_region.lo;
+        let ker_shard = Tensor4::<T>::random_window(
+            geom.ker_region.shape(),
+            layer_ker_seed(seed, li),
+            ker_origin,
+            ker_shape(&lp.problem),
+        );
         let _lease = rank
             .mem()
             .lease_or_panic((out_slice.len() + in_shard.len() + ker_shard.len()) as u64);
@@ -500,18 +497,16 @@ fn network_rank_body<T: Scalar>(rank: &Rank<T>, plan: &NetworkPlan, seed: u64) -
         );
 
         if li + 1 < plan.layers.len() {
-            let next = &plan.layers[li + 1];
             carried_in = Some(redistribute_to_next(
                 rank,
-                lp,
-                next,
+                &windows[li],
                 &out_slice,
                 out_origin,
                 TAG_REDIST_BASE + li as u64,
             ));
         } else {
             last_out = if layout.ic() == 0 {
-                Some((coords, out_origin, out_slice))
+                Some((geom.coords, out_origin, out_slice))
             } else {
                 None
             };

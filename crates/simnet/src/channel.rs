@@ -39,6 +39,10 @@ struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receiver_alive: bool,
+    /// The receiver is parked on the condvar. Senders only wake it when
+    /// set: event-backend receivers never park, so their senders skip
+    /// the futex call entirely.
+    waiting: bool,
 }
 
 struct Shared<T> {
@@ -64,6 +68,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receiver_alive: true,
+            waiting: false,
         }),
         nonempty: Condvar::new(),
     });
@@ -83,8 +88,11 @@ impl<T> Sender<T> {
             return Err(SendError(msg));
         }
         st.queue.push_back(msg);
+        let wake = st.waiting;
         drop(st);
-        self.shared.nonempty.notify_one();
+        if wake {
+            self.shared.nonempty.notify_one();
+        }
         Ok(())
     }
 }
@@ -160,12 +168,14 @@ impl<T> Receiver<T> {
             if remaining.is_zero() {
                 return Err(RecvTimeoutError::Timeout);
             }
+            st.waiting = true;
             let (guard, _wait) = self
                 .shared
                 .nonempty
                 .wait_timeout(st, remaining)
                 .expect("channel poisoned");
             st = guard;
+            st.waiting = false;
             // Loop re-checks queue/senders/deadline; spurious wakeups
             // and timeout races both resolve correctly there.
         }

@@ -6,7 +6,8 @@
 //!
 //! ## Model
 //!
-//! A [`Machine`] runs `P` *ranks*, one OS thread each. Ranks share
+//! A [`Machine`] runs `P` *ranks*: one OS thread each, or coroutines
+//! on the calling thread under the event backend. Ranks share
 //! **nothing**: each gets a [`Rank`] handle whose only inter-rank
 //! facility is explicit message passing ([`Rank::send`] /
 //! [`Rank::recv`]), exactly the partitioned-memory semantics of the
@@ -51,6 +52,8 @@
 
 pub mod channel;
 pub mod comm;
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod coro;
 pub mod detect;
 pub mod event;
 pub mod fault;

@@ -1,5 +1,7 @@
-//! The machine: spawn `P` rank threads, run a closure on each, collect
-//! results, statistics and peak memory.
+//! The machine: run a closure on each of `P` ranks, collect results,
+//! statistics and peak memory. The thread backend gives every rank its
+//! own OS thread; the event backend runs them as coroutines on the
+//! calling thread (see [`crate::event`]).
 //!
 //! [`Machine::try_run`] is the non-panicking entry point: it aggregates
 //! *every* rank failure (fault-injected crash, deadlock trap, memory
@@ -276,9 +278,11 @@ fn classify(message: &str) -> FailureKind {
 pub struct Machine;
 
 impl Machine {
-    /// Run `body` on `p` ranks (one OS thread each) and collect results.
+    /// Run `body` on `p` ranks and collect results: one OS thread per
+    /// rank on [`Backend::Thread`], coroutines on the calling thread on
+    /// [`Backend::Event`].
     ///
-    /// Rank threads communicate only through their [`Rank`] handles.
+    /// Ranks communicate only through their [`Rank`] handles.
     /// Every rank failure is collected — a failed run returns a
     /// [`RunError`] enumerating all of them (ranks blocked on a dead
     /// peer are released by the deadlock trap and reported too).
@@ -325,10 +329,11 @@ impl Machine {
         let panics: std::sync::Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> =
             std::sync::Mutex::new(Vec::new());
 
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (id, (rx, slot)) in receivers.into_iter().zip(results.iter_mut()).enumerate() {
-                let rank = Rank::new(
+        let ranks: Vec<Rank<T>> = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(id, rx)| {
+                Rank::new(
                     id,
                     p,
                     Arc::clone(&senders),
@@ -338,42 +343,66 @@ impl Machine {
                     &cfg,
                     tracer.clone(),
                     sched.clone(),
-                );
-                let body = &body;
-                let panics = &panics;
-                let clock_slot = &clocks[id];
-                let sched = sched.clone();
-                handles.push(scope.spawn(move || {
-                    // Event backend: wait for the scheduler's first
-                    // dispatch before the body runs.
-                    if let Some(s) = &sched {
-                        s.start(id);
-                    }
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&rank))) {
-                        Ok(r) => {
-                            // Release any reorder-held packets before the
-                            // rank retires (a crashed rank's are lost).
-                            rank.flush_holdbacks();
-                            *slot = Some(r);
+                )
+            })
+            .collect();
+        let run_rank = |rank: Rank<T>, slot: &mut Option<R>| {
+            let id = rank.id();
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&rank))) {
+                Ok(r) => {
+                    // Release any reorder-held packets before the rank
+                    // retires (a crashed rank's are lost).
+                    rank.flush_holdbacks();
+                    *slot = Some(r);
+                }
+                Err(e) => panics
+                    .lock()
+                    .expect("rank bodies never panic holding the panic list")
+                    .push((id, e)),
+            }
+            // Store the final clock on the panic path too: a victim's
+            // clock-at-death is what the failure detector timestamps its
+            // detection from.
+            clocks[id].store(rank.clock().to_bits(), std::sync::atomic::Ordering::Relaxed);
+            // Hand the floor off even when the body panicked — otherwise
+            // one crashed rank would wedge the run.
+            if let Some(s) = &sched {
+                s.retire(id);
+            }
+        };
+
+        match &sched {
+            // Event backend: every rank body is a coroutine on this
+            // thread, resumed in the scheduler's order.
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Some(s) => {
+                let run_rank = &run_rank;
+                let bodies: Vec<_> = ranks
+                    .into_iter()
+                    .zip(results.iter_mut())
+                    .map(|(rank, slot)| move || run_rank(rank, slot))
+                    .collect();
+                crate::coro::run_all(bodies, || s.pick());
+            }
+            _ => std::thread::scope(|scope| {
+                for (rank, slot) in ranks.into_iter().zip(results.iter_mut()) {
+                    let run_rank = &run_rank;
+                    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+                    let sched = &sched;
+                    scope.spawn(move || {
+                        // Portable event backend: wait for the
+                        // scheduler's first dispatch before the body runs.
+                        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+                        if let Some(s) = &sched {
+                            s.start(rank.id());
                         }
-                        Err(e) => panics.lock().unwrap().push((id, e)),
-                    }
-                    // Store the final clock on the panic path too: a
-                    // victim's clock-at-death is what the failure
-                    // detector timestamps its detection from.
-                    clock_slot.store(rank.clock().to_bits(), std::sync::atomic::Ordering::Relaxed);
-                    // Hand the floor off even when the body panicked —
-                    // otherwise one crashed rank would wedge the run.
-                    if let Some(s) = &sched {
-                        s.retire(id);
-                    }
-                }));
-            }
-            for h in handles {
-                // Threads never panic (they catch), so join always succeeds.
-                h.join().expect("rank thread poisoned");
-            }
-        });
+                        run_rank(rank, slot);
+                    });
+                }
+                // Rank threads never panic (they catch), so the scope's
+                // implicit join always succeeds.
+            }),
+        }
 
         let final_clocks: Vec<f64> = clocks
             .iter()
@@ -778,6 +807,78 @@ mod tests {
         assert_eq!(err.failed_ranks(), vec![1, 2]);
         assert_eq!(err.failures[0].kind, FailureKind::Crash);
         assert_eq!(err.failures[1].kind, FailureKind::Deadlock);
+    }
+
+    #[test]
+    fn rank_panic_after_backtrace_capture_is_a_run_error() {
+        // Rank 2 walks its own stack, then panics while ranks 0 and 1
+        // are blocked waiting on it. On the event backend the walk
+        // starts inside a coroutine and must end at its first frame;
+        // the panic must surface as a RunError, not take the process.
+        for backend in [Backend::Thread, Backend::Event] {
+            let cfg = MachineConfig {
+                backend,
+                recv_timeout: Duration::from_millis(200),
+                ..MachineConfig::default()
+            };
+            let err = Machine::try_run::<u64, _, _>(3, cfg, |rank| {
+                if rank.id() == 2 {
+                    let bt = std::backtrace::Backtrace::force_capture();
+                    assert!(!bt.to_string().is_empty());
+                    panic!("boom after backtrace from rank 2");
+                }
+                let _ = rank.recv(2, 9);
+            })
+            .expect_err("panicking rank must fail the run");
+            assert_eq!(err.failed_ranks(), vec![0, 1, 2], "{backend:?}");
+            assert_eq!(err.failures[2].kind, FailureKind::Other, "{backend:?}");
+            assert!(
+                err.failures[2].message.contains("boom after backtrace"),
+                "{backend:?}: {err}"
+            );
+            assert_eq!(err.dead_ranks(), vec![2], "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn rank_bodies_may_run_pool_loops_and_large_frames() {
+        // Scoped OS threads started from inside a rank body (a kernel's
+        // parallel loop), and a 256 KiB stack frame kept live across
+        // blocking receives — both must work when the body is a
+        // coroutine with its own stack.
+        for backend in [Backend::Thread, Backend::Event] {
+            let cfg = MachineConfig {
+                backend,
+                ..MachineConfig::default()
+            };
+            let r = Machine::run::<u64, _, _>(4, cfg, |rank| {
+                let mut frame = [0u8; 256 * 1024];
+                frame[rank.id()] = 1;
+                let frame = std::hint::black_box(frame);
+                let sums: Vec<std::sync::atomic::AtomicU64> = (0..64)
+                    .map(|_| std::sync::atomic::AtomicU64::new(0))
+                    .collect();
+                let id = rank.id();
+                distconv_par::Pool::new(4).par_iter_indexed(64, |i| {
+                    let v = (i * (id + 1)) as u64;
+                    sums[i].store(v, std::sync::atomic::Ordering::Relaxed);
+                });
+                let local: u64 = sums
+                    .iter()
+                    .map(|s| s.load(std::sync::atomic::Ordering::Relaxed))
+                    .sum();
+                // Ring exchange: every rank blocks once with the frame live.
+                let next = (rank.id() + 1) % rank.size();
+                let prev = (rank.id() + rank.size() - 1) % rank.size();
+                rank.send(next, 3, &[local]);
+                let got = rank.recv(prev, 3)[0];
+                got + frame.iter().map(|&b| b as u64).sum::<u64>()
+            });
+            // Rank r's local sum is (r+1)·Σi = 2016·(r+1); it receives
+            // its predecessor's, plus 1 from its own frame.
+            let expect: Vec<u64> = (0..4u64).map(|r| 2016 * ((r + 3) % 4 + 1) + 1).collect();
+            assert_eq!(r.results, expect, "{backend:?}");
+        }
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! simulator: DESIGN.md §10 explains why the property holds (FIFO
 //! `(src, tag)` matching, sender-side counters, schedule-independent
 //! Lamport clock rules); this suite pins it on the GVM conv executor,
-//! all four distmm algorithms, a baseline, and property-sampled shapes.
+//! all four distmm algorithms, a baseline, and property-sampled shapes,
+//! and checks that concurrent event-backend machines (one per serving
+//! cluster) do not perturb each other.
 //!
 //! Shapes are sampled from a seeded PRNG (override with
 //! `DISTCONV_PROPTEST_SEED` to explore; failures print the seed).
 
 use distconv_baselines::try_run_data_parallel;
-use distconv_core::DistConv;
+use distconv_core::{run_network_with_outputs, DistConv, NetworkPlan};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_distmm::{try_run_25d, try_run_cannon, try_run_dns3d, try_run_summa, MatmulDims};
 use distconv_simnet::{Backend, MachineConfig};
@@ -190,5 +192,51 @@ fn event_backend_reproduces_the_golden_trace_digests() {
         CONV_GOLDEN_DIGEST,
         "event backend moved the conv golden digest (got {:#018x})",
         report.trace.digest()
+    );
+}
+
+#[test]
+fn concurrent_event_machines_match_sequential_runs() {
+    // The serving layer with two clusters runs two event machines at
+    // once, each on its own OS thread. Each machine's coroutines live
+    // on its own thread, so the two runs must reproduce the sequential
+    // ones bitwise: outputs, counters, peak memory and makespan.
+    let chain = [
+        Conv2dProblem::new(2, 8, 4, 8, 8, 3, 3, 1, 1),
+        Conv2dProblem::new(2, 8, 8, 6, 6, 3, 3, 1, 1),
+        Conv2dProblem::new(2, 4, 8, 4, 4, 3, 3, 1, 1),
+    ];
+    let plans = [4usize, 8].map(|p| {
+        NetworkPlan::plan_tuned(&chain, MachineSpec::new(p, 1 << 20)).expect("chain plans")
+    });
+    let run = |plan: &NetworkPlan, seed: u64| {
+        let (report, outputs) =
+            run_network_with_outputs::<f64>(plan, seed, cfg_for(Backend::Event)).expect("verified");
+        let outputs: Vec<_> = outputs
+            .into_iter()
+            .map(|(coords, origin, slice)| (coords, origin, slice.into_vec()))
+            .collect();
+        (
+            report.stats,
+            report.max_peak_mem,
+            report.makespan.to_bits(),
+            outputs,
+        )
+    };
+    let seeds = [11u64, 12, 13];
+    let sequential: Vec<Vec<_>> = plans
+        .iter()
+        .map(|plan| seeds.iter().map(|&s| run(plan, s)).collect())
+        .collect();
+    let concurrent: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = plans
+            .iter()
+            .map(|plan| scope.spawn(move || seeds.iter().map(|&s| run(plan, s)).collect()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(
+        sequential == concurrent,
+        "concurrent event machines diverged"
     );
 }
