@@ -170,10 +170,9 @@ pub fn e16_degraded_recovery() -> Table {
             .run_recovering(11)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
-            r.degraded && r.recovered && r.verified,
+            r.recovery.degraded() && r.recovery.recovered() && r.verified,
             "{name}: must finish verified on a shrunken grid"
         );
-        let info = r.degrade.as_ref().unwrap();
         let conf = r.conformance();
         assert!(conf.pass(), "{name}: conformance at P' failed:\n{conf}");
         let gridfmt = |g: &distconv_cost::planner::GridShape| {
@@ -181,12 +180,12 @@ pub fn e16_degraded_recovery() -> Table {
         };
         t.row(vec![
             name.to_string(),
-            gridfmt(&info.old_grid),
-            gridfmt(&info.new_grid),
-            format!("{:?}", info.dead_ranks),
-            r.retries.to_string(),
-            inum(r.retry_elems as u128),
-            inum(info.redist_elems as u128),
+            gridfmt(&plan.grid),
+            gridfmt(&r.plan.grid),
+            format!("{:?}", r.recovery.dead_ranks),
+            r.recovery.attempts.to_string(),
+            inum(r.recovery.wasted_elems as u128),
+            inum(r.redist_elems as u128),
             inum(r.measured_volume() as u128),
             "pass".to_string(),
         ]);

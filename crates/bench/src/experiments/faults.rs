@@ -86,7 +86,10 @@ pub fn e13_fault_sweep() -> Table {
             );
         }
         if fp.crash.is_some() {
-            assert!(r.recovered, "{name}: crash must be detected and retried");
+            assert!(
+                r.recovery.recovered(),
+                "{name}: crash must be detected and retried"
+            );
         }
         let f = &r.stats.fault;
         t.row(vec![
@@ -97,12 +100,12 @@ pub fn e13_fault_sweep() -> Table {
             inum(f.ack_msgs as u128),
             inum(f.dup_msgs as u128),
             fnum(r.makespan),
-            if r.recovered {
-                format!("yes ({}x)", r.retries)
+            if r.recovery.recovered() {
+                format!("yes ({}x)", r.recovery.attempts)
             } else {
                 "no".into()
             },
-            r.retry_elems.to_string(),
+            r.recovery.wasted_elems.to_string(),
         ]);
     }
     t.note("every row's volume equals the fault-free baseline: retransmit/ack traffic is");

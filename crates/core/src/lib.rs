@@ -48,16 +48,18 @@ pub(crate) mod fwd;
 pub mod layout;
 pub mod model;
 pub mod network;
+pub mod recover;
 pub mod train;
 
 pub use batch::{batch_seed, dispatch_batch, BatchRun};
-pub use exec::{CoreError, DegradeInfo, DistConv, DistConvReport, MAX_STEP_RETRIES};
+pub use exec::{CoreError, DistConv, DistConvReport};
 pub use layout::{consumer_in_window, producer_out_window, RankLayout};
 pub use model::{expected_volumes, ExpectedVolumes};
 pub use network::{
     redistribution_volume, run_network, run_network_with_outputs, NetworkError, NetworkOut,
     NetworkPlan, NetworkReport,
 };
+pub use recover::{recover, Ranks, Recovered, Recovery, MAX_STEP_RETRIES};
 pub use train::{
     expected_backward_volumes, run_training_step, run_training_step_recovering, BackwardVolumes,
     TrainReport,

@@ -1,0 +1,278 @@
+//! The one recovery policy for a distributed run — a layer, a training
+//! step or a served batch: bounded restarts after a fault-injected rank
+//! crash, then, when the crash is persistent, one run on a plan over the
+//! surviving ranks. See [`recover`].
+
+use crate::exec::CoreError;
+use crate::network::NetworkPlan;
+use distconv_cost::DistPlan;
+use distconv_simnet::MachineConfig;
+
+/// Maximum checkpoint/restart attempts for a crash-injected step.
+pub const MAX_STEP_RETRIES: u32 = 3;
+
+/// A plan [`recover`] can shrink: it only needs the rank count.
+pub trait Ranks {
+    /// Ranks the plan runs on.
+    fn ranks(&self) -> usize;
+}
+
+impl Ranks for DistPlan {
+    fn ranks(&self) -> usize {
+        self.grid.total()
+    }
+}
+
+impl Ranks for NetworkPlan {
+    fn ranks(&self) -> usize {
+        self.layers[0].grid.total()
+    }
+}
+
+/// What recovery did on the way to a result.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Recovery {
+    /// Aborted attempts before the one that succeeded.
+    pub attempts: u32,
+    /// Elements the aborted attempts moved — the retry cost, kept out
+    /// of the successful run's counters so its volume tables still
+    /// match the fault-free run.
+    pub wasted_elems: u64,
+    /// Ranks declared dead (crashed / OOM'd — *not* merely starved)
+    /// when the retries ran out. Empty unless the run degraded.
+    pub dead_ranks: Vec<usize>,
+}
+
+impl Recovery {
+    /// Whether a crashed attempt was detected and the run re-done.
+    pub fn recovered(&self) -> bool {
+        self.attempts > 0
+    }
+
+    /// Whether the run finished on a plan over fewer ranks.
+    pub fn degraded(&self) -> bool {
+        !self.dead_ranks.is_empty()
+    }
+}
+
+/// A result [`recover`] reached.
+#[derive(Clone, Debug)]
+pub struct Recovered<P, R> {
+    /// The successful attempt's result.
+    pub value: R,
+    /// What it took to get there.
+    pub recovery: Recovery,
+    /// The survivor plan and the pruned machine configuration the run
+    /// finished on; `None` unless it degraded.
+    pub degraded: Option<(P, MachineConfig)>,
+}
+
+/// Run `attempt(plan, cfg)` until it succeeds or the policy gives up.
+///
+/// A fault-injected rank crash restarts the attempt up to
+/// [`MAX_STEP_RETRIES`] times from its inputs (all regenerable from its
+/// seed) with transient rank faults cleared, modelling a replaced
+/// process on the same faulty network. Any other error returns at once.
+/// A *persistent* crash survives the clearing; once the retries are
+/// spent, `replan(p)` is asked for the same work over `p` ranks, from
+/// the survivor count `P′` downward (`P′` itself may be unplannable,
+/// e.g. a prime that does not factor the problem). The first plan found
+/// runs once more, without the faults that no longer exist on the
+/// shrunken machine, and comes back with its configuration so a
+/// long-lived caller can keep running there instead of rediscovering
+/// the dead rank. A caller that must not degrade passes `|_| None` and
+/// gets the last machine error back.
+pub fn recover<P: Ranks, R>(
+    plan: &P,
+    mut cfg: MachineConfig,
+    mut attempt: impl FnMut(&P, MachineConfig) -> Result<R, CoreError>,
+    mut replan: impl FnMut(usize) -> Option<P>,
+) -> Result<Recovered<P, R>, CoreError> {
+    let mut recovery = Recovery::default();
+    let err = loop {
+        let err = match attempt(plan, cfg) {
+            Ok(value) => {
+                return Ok(Recovered {
+                    value,
+                    recovery,
+                    degraded: None,
+                })
+            }
+            Err(CoreError::Machine(e)) if e.has_injected_crash() => e,
+            Err(e) => return Err(e),
+        };
+        recovery.attempts += 1;
+        recovery.wasted_elems += err.wasted_elems;
+        if recovery.attempts > MAX_STEP_RETRIES {
+            break err;
+        }
+        cfg.faults = cfg.faults.without_rank_faults();
+    };
+
+    // Retries exhausted with the crash still firing: the rank is gone
+    // for good. A smaller feasible plan beats no run at all.
+    let dead = err.dead_ranks();
+    let survivors = plan.ranks().saturating_sub(dead.len());
+    let Some(shrunk) = (1..=survivors).rev().find_map(&mut replan) else {
+        return Err(CoreError::Machine(err));
+    };
+    // The dead rank does not exist on the shrunken machine: drop its
+    // faults rather than crash an innocent renumbered rank.
+    cfg.faults.crash = None;
+    cfg.faults.straggler = cfg.faults.straggler.filter(|s| s.rank < shrunk.ranks());
+    recovery.dead_ranks = dead;
+    let value = attempt(&shrunk, cfg)?;
+    Ok(Recovered {
+        value,
+        recovery,
+        degraded: Some((shrunk, cfg)),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distconv_simnet::{FailureKind, FaultPlan, RankFailure, RunError};
+
+    /// A plan that is only its rank count.
+    impl Ranks for usize {
+        fn ranks(&self) -> usize {
+            *self
+        }
+    }
+
+    /// Rank `dead` crashed, rank 0 starved waiting on it, and `wasted`
+    /// elements moved before the run died.
+    fn crash(dead: usize, wasted: u64) -> CoreError {
+        let failure = |rank, kind| RankFailure {
+            rank,
+            kind,
+            message: String::new(),
+        };
+        CoreError::Machine(RunError {
+            failures: vec![
+                failure(0, FailureKind::Starved),
+                failure(dead, FailureKind::Crash),
+            ],
+            fault_seed: 7,
+            wasted_msgs: 1,
+            wasted_elems: wasted,
+            detections: Vec::new(),
+        })
+    }
+
+    /// Rank 2 crashes (for good if `persistent`); `straggler` is slow.
+    fn faulty(persistent: bool, straggler: usize) -> MachineConfig {
+        let faults = FaultPlan::default().with_straggler(straggler, 2.0);
+        let faults = match persistent {
+            true => faults.with_persistent_crash(2, 1),
+            false => faults.with_crash(2, 1),
+        };
+        MachineConfig {
+            faults,
+            ..MachineConfig::default()
+        }
+    }
+
+    type Outcome = Result<Recovered<usize, usize>, CoreError>;
+
+    /// `recover` over a plan of `ranks` ranks whose attempt fails with
+    /// `fail(ranks, faults)` or else yields its rank count, and whose
+    /// re-plan succeeds at `plannable` ranks or fewer. Also returns
+    /// every attempt's `(ranks, faults)` and every re-plan request.
+    fn drive(
+        ranks: usize,
+        cfg: MachineConfig,
+        plannable: usize,
+        mut fail: impl FnMut(usize, FaultPlan) -> Option<CoreError>,
+    ) -> (Outcome, Vec<(usize, FaultPlan)>, Vec<usize>) {
+        let (mut runs, mut asked) = (Vec::new(), Vec::new());
+        let out = recover(
+            &ranks,
+            cfg,
+            |&p, cfg| {
+                runs.push((p, cfg.faults));
+                fail(p, cfg.faults).map_or(Ok(p), Err)
+            },
+            |p| {
+                asked.push(p);
+                (p <= plannable).then_some(p)
+            },
+        );
+        (out, runs, asked)
+    }
+
+    /// Fails while a crash is configured, wasting `wasted(ranks)`.
+    fn crashing(wasted: fn(usize) -> u64) -> impl FnMut(usize, FaultPlan) -> Option<CoreError> {
+        move |p, faults| faults.crash.map(|c| crash(c.rank, wasted(p)))
+    }
+
+    #[test]
+    fn first_try_success_aborts_nothing() {
+        let (out, runs, asked) = drive(4, MachineConfig::default(), 4, |_, _| None);
+        let out = out.unwrap();
+        assert_eq!((out.value, runs.len()), (4, 1));
+        assert_eq!(out.recovery, Recovery::default());
+        assert!(!out.recovery.recovered() && !out.recovery.degraded());
+        assert!(out.degraded.is_none() && asked.is_empty());
+    }
+
+    #[test]
+    fn transient_crash_retries_once_and_sums_wasted_elements() {
+        let (out, runs, asked) = drive(4, faulty(false, 1), 4, crashing(|_| 40));
+        let out = out.unwrap();
+        assert_eq!(
+            (out.value, out.recovery.attempts, out.recovery.wasted_elems),
+            (4, 1, 40)
+        );
+        assert!(out.recovery.recovered() && !out.recovery.degraded());
+        assert!(out.degraded.is_none() && asked.is_empty());
+        // Only the crashed process was replaced: the straggler stays.
+        assert_eq!(runs[1].1.crash, None);
+        assert_eq!(runs[1].1.straggler, runs[0].1.straggler);
+    }
+
+    #[test]
+    fn persistent_crash_degrades_to_the_first_plannable_survivor_count() {
+        // 8 ranks, rank 2 dead: 7 survivors, but 7, 6 and 5 do not
+        // plan, so the run finishes on 4 — where a straggler on rank 5
+        // does not exist, and one on rank 1 does.
+        let (out, runs, asked) = drive(8, faulty(true, 5), 4, crashing(|p| 10 + p as u64));
+        let out = out.unwrap();
+        let tries = MAX_STEP_RETRIES + 1;
+        assert_eq!(out.recovery.attempts, tries);
+        assert_eq!(out.recovery.wasted_elems, 18 * u64::from(tries));
+        assert_eq!(out.recovery.dead_ranks, vec![2]);
+        assert!(out.recovery.recovered() && out.recovery.degraded());
+        assert_eq!(asked, vec![7, 6, 5, 4]);
+        let ranks: Vec<usize> = runs.iter().map(|r| r.0).collect();
+        assert_eq!(ranks, vec![8, 8, 8, 8, 4]);
+        let (plan, cfg) = out.degraded.unwrap();
+        assert_eq!((out.value, plan), (4, 4));
+        assert_eq!((cfg.faults.crash, cfg.faults.straggler), (None, None));
+
+        let (out, ..) = drive(8, faulty(true, 1), 4, crashing(|_| 1));
+        let (_, cfg) = out.unwrap().degraded.unwrap();
+        assert_eq!(cfg.faults.straggler.map(|s| s.rank), Some(1));
+    }
+
+    #[test]
+    fn unplannable_survivors_return_the_last_machine_error() {
+        let mut attempt = 0;
+        let (out, runs, asked) = drive(4, faulty(true, 0), 0, |_, _| {
+            attempt += 1;
+            Some(crash(2, attempt))
+        });
+        let tries = u64::from(MAX_STEP_RETRIES + 1);
+        assert_eq!(out.unwrap_err(), crash(2, tries));
+        assert_eq!((runs.len() as u64, asked), (tries, vec![3, 2, 1]));
+    }
+
+    #[test]
+    fn non_crash_errors_return_at_once() {
+        let wrong = CoreError::VerificationFailed { max_rel_err: 1.0 };
+        let (out, runs, asked) = drive(4, faulty(false, 0), 4, |_, _| Some(wrong.clone()));
+        assert_eq!(out.unwrap_err(), wrong);
+        assert!(runs.len() == 1 && asked.is_empty());
+    }
+}

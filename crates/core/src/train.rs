@@ -27,6 +27,7 @@
 
 use crate::distribution::{distribute, in_c_dist, ker_c_dist, plan_grid, RankData};
 use crate::exec::CoreError;
+use crate::recover::{recover, Recovery};
 use distconv_conv::kernels::{grad_ker, out_shape, workload};
 use distconv_cost::DistPlan;
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
@@ -97,14 +98,9 @@ pub struct TrainReport {
     pub sim_time: f64,
     /// Lamport communication makespan.
     pub makespan: f64,
-    /// Whether a crashed attempt was detected and the step re-run
-    /// (only [`run_training_step_recovering`] can set this).
-    pub recovered: bool,
-    /// Number of aborted attempts before the successful one.
-    pub retries: u32,
-    /// Elements moved by the aborted attempts (retry cost, kept out of
-    /// `stats` so the volume tables still match the fault-free run).
-    pub retry_elems: u64,
+    /// What recovery did (default unless
+    /// [`run_training_step_recovering`] had to retry).
+    pub recovery: Recovery,
 }
 
 impl TrainReport {
@@ -182,47 +178,30 @@ pub fn run_training_step<T: Scalar>(
         sim_time: report.sim_time,
         makespan: report.makespan,
         stats: report.stats,
-        recovered: false,
-        retries: 0,
-        retry_elems: 0,
+        recovery: Recovery::default(),
     })
 }
 
-/// [`run_training_step`] with step-level checkpoint/restart: on a
-/// detected fault-injected rank crash, re-run the step from the last
-/// consistent state (the step inputs — weights, activations and
-/// upstream gradient are all regenerable from `seed`, exactly the
-/// checkpointed state a real trainer restores) with transient rank
-/// faults cleared, and report `recovered: true` plus the aborted
-/// attempts' traffic in `retry_elems`. Link faults and stragglers
-/// persist across the restart — the network stays faulty, only the
-/// crashed process is replaced.
+/// [`run_training_step`] with step-level checkpoint/restart under the
+/// [`recover`] policy. The step inputs — weights, activations and
+/// upstream gradient — are all regenerable from `seed`, exactly the
+/// checkpointed state a real trainer restores. A training step never
+/// degrades: a persistent crash returns the last machine error.
 pub fn run_training_step_recovering<T: Scalar>(
     plan: DistPlan,
     seed: u64,
     cfg: MachineConfig,
 ) -> Result<TrainReport, CoreError> {
-    let mut cfg = cfg;
-    let mut retries = 0u32;
-    let mut wasted = 0u64;
-    loop {
-        match run_training_step::<T>(plan, seed, cfg) {
-            Err(CoreError::Machine(e))
-                if e.has_injected_crash() && retries < crate::exec::MAX_STEP_RETRIES =>
-            {
-                retries += 1;
-                wasted += e.wasted_elems;
-                cfg.faults = cfg.faults.without_rank_faults();
-            }
-            Err(e) => return Err(e),
-            Ok(mut r) => {
-                r.recovered = retries > 0;
-                r.retries = retries;
-                r.retry_elems = wasted;
-                return Ok(r);
-            }
-        }
-    }
+    let done = recover(
+        &plan,
+        cfg,
+        |plan, cfg| run_training_step::<T>(*plan, seed, cfg),
+        |_| None,
+    )?;
+    Ok(TrainReport {
+        recovery: done.recovery,
+        ..done.value
+    })
 }
 
 fn worst_err<T: Scalar>(a: &[T], b: &[T]) -> f64 {
@@ -516,11 +495,11 @@ mod tests {
             ..MachineConfig::default()
         };
         let r = run_training_step_recovering::<f64>(plan, 77, cfg).expect("must recover");
-        assert!(r.recovered);
-        assert_eq!(r.retries, 1);
+        assert!(r.recovery.recovered());
+        assert_eq!(r.recovery.attempts, 1);
         assert!(r.forward_verified && r.grad_verified);
         assert_eq!(r.measured_volume(), clean.measured_volume());
-        assert!(r.retry_elems > 0);
+        assert!(r.recovery.wasted_elems > 0);
     }
 
     #[test]

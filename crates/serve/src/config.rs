@@ -4,23 +4,7 @@
 use distconv_simnet::MachineConfig;
 use std::time::Duration;
 
-/// `DISTCONV_SERVE_BUDGET_MS`: per-request queueing latency budget in
-/// milliseconds — when the oldest waiting request has been queued this
-/// long, the batcher flushes a partial batch rather than keep waiting
-/// for a full `Nb`.
-pub const BUDGET_ENV: &str = "DISTCONV_SERVE_BUDGET_MS";
-
-/// `DISTCONV_SERVE_QUEUE`: per-model bounded-queue capacity — requests
-/// beyond this many *waiting* (admitted, not yet batched) are rejected
-/// with [`crate::SubmitError::Saturated`].
-pub const QUEUE_ENV: &str = "DISTCONV_SERVE_QUEUE";
-
-/// `DISTCONV_SERVE_CLUSTERS`: number of simnet clusters (concurrent
-/// batch executors) the server runs.
-pub const CLUSTERS_ENV: &str = "DISTCONV_SERVE_CLUSTERS";
-
-/// Tunables of the serving layer. [`ServeConfig::from_env`] reads the
-/// three `DISTCONV_SERVE_*` knobs; defaults favor small deterministic
+/// Tunables of the serving layer. Defaults favor small deterministic
 /// test runs over throughput.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -47,38 +31,6 @@ impl Default for ServeConfig {
             clusters: 1,
             machine: MachineConfig::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Defaults overridden by the `DISTCONV_SERVE_*` environment knobs.
-    /// Unparseable values are hard errors, matching the
-    /// `DISTCONV_THREADS` precedent — a typo must not silently fall
-    /// back to a default.
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Ok(v) = std::env::var(BUDGET_ENV) {
-            let ms: u64 = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid {BUDGET_ENV} value {v:?}: want milliseconds"));
-            cfg.latency_budget = Duration::from_millis(ms);
-        }
-        if let Ok(v) = std::env::var(QUEUE_ENV) {
-            let n: usize = v.trim().parse().unwrap_or_else(|_| {
-                panic!("invalid {QUEUE_ENV} value {v:?}: want a positive integer")
-            });
-            assert!(n > 0, "{QUEUE_ENV} must be positive");
-            cfg.queue_capacity = n;
-        }
-        if let Ok(v) = std::env::var(CLUSTERS_ENV) {
-            let n: usize = v.trim().parse().unwrap_or_else(|_| {
-                panic!("invalid {CLUSTERS_ENV} value {v:?}: want a positive integer")
-            });
-            assert!(n > 0, "{CLUSTERS_ENV} must be positive");
-            cfg.clusters = n;
-        }
-        cfg
     }
 }
 

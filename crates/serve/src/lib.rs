@@ -17,10 +17,13 @@
 //!   [`distconv_core::batch::dispatch_batch`]; concurrent tenants
 //!   share cores through the `distconv-par` thread-budget arbiter
 //!   (each simulated machine registers its ranks; pools divide).
-//! * **Recovery** — a rank killed mid-batch triggers bounded replays
+//! * **Recovery** — every batch runs through [`distconv_core::recover`]:
+//!   a rank killed mid-batch triggers bounded replays
 //!   (bitwise-identical by the batch-seed contract) and, for
-//!   persistent faults, a degraded re-plan over the survivors
-//!   ([`cluster::execute_batch`]).
+//!   persistent faults, a degraded re-plan over the survivors. The
+//!   cluster keeps that survivor plan and runs the model's later
+//!   batches on it, so a dead rank is discovered once per cluster,
+//!   not once per batch.
 //! * **SLO accounting** — [`ServeReport`] carries per-model
 //!   p50/p95/p99 latency, throughput, and element-exact volume
 //!   conformance composing with the `distconv-trace` machinery.
@@ -31,12 +34,10 @@
 //! — fully deterministic given admission order, which is what the
 //! replay and chaos tests pin bitwise.
 
-pub mod cluster;
 pub mod config;
 pub mod report;
 pub mod server;
 
-pub use cluster::{execute_batch, BatchOutcome};
-pub use config::{ServeConfig, BUDGET_ENV, CLUSTERS_ENV, QUEUE_ENV};
+pub use config::ServeConfig;
 pub use report::{percentile_ms, ModelReport, ServeReport};
-pub use server::{ModelSpec, RequestId, RequestResult, Server, SubmitError};
+pub use server::{ModelSpec, RequestId, RequestResult, Server, StartError, SubmitError};

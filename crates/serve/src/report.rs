@@ -29,9 +29,12 @@ pub struct ModelReport {
     pub batches: usize,
     /// Batches flushed below `Nb` by the latency budget or shutdown.
     pub partial_flushes: usize,
-    /// Fault-recovery replays across all batches.
+    /// Aborted attempts across all batches (replays, including the
+    /// ones that exhausted the retries before a degraded re-plan).
     pub replays: u32,
-    /// Batches that finished on a degraded (re-planned) grid.
+    /// Batches that finished on a degraded (re-planned) grid: the one
+    /// that lost a rank, and every later batch its cluster ran on the
+    /// survivor plan.
     pub degraded_batches: usize,
     /// p50 queueing+execution latency, milliseconds.
     pub p50_ms: f64,

@@ -13,9 +13,10 @@
 //!   a FIFO prefix, so batch composition is a pure function of the
 //!   admission order — the property the replay/chaos tests pin.
 //! * **Cluster workers** (`ServeConfig::clusters` threads) pop formed
-//!   batches and run them on their own simulated machine via
-//!   [`crate::cluster::execute_batch`], recovering from injected
-//!   crashes by replay or degraded re-plan.
+//!   batches and run them on their own simulated machine through
+//!   [`distconv_core::recover`], recovering from injected crashes by
+//!   replay or degraded re-plan, and keep a model's survivor plan for
+//!   its later batches once a persistent crash has shrunk it.
 //!
 //! A *request* is modeled by its seed: sample `i` of a batch whose
 //! member seeds fold (in slot order) into the batch seed via
@@ -24,12 +25,12 @@
 //! which is what makes rejected-free runs comparable bitwise across
 //! replays and backends.
 
-use crate::cluster::execute_batch;
 use crate::config::ServeConfig;
 use crate::report::{percentile_ms, ModelReport, ServeReport};
-use distconv_core::batch::batch_seed;
-use distconv_core::{NetworkError, NetworkPlan};
+use distconv_core::batch::{batch_seed, dispatch_batch};
+use distconv_core::{recover, NetworkError, NetworkPlan};
 use distconv_cost::{Conv2dProblem, MachineSpec};
+use distconv_simnet::MachineConfig;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -81,6 +82,29 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
+
+/// Why [`Server::start`] refused to start.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StartError {
+    /// The model list was empty.
+    NoModels,
+    /// `ServeConfig::clusters` was 0: nothing would execute batches.
+    NoClusters,
+    /// A model could not be planned on its machine.
+    Plan(NetworkError),
+}
+
+impl std::fmt::Display for StartError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StartError::NoModels => write!(f, "need at least one model"),
+            StartError::NoClusters => write!(f, "need at least one cluster"),
+            StartError::Plan(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for StartError {}
 
 /// A completed request's attribution.
 #[derive(Clone, Debug)]
@@ -165,9 +189,13 @@ pub struct Server {
 impl Server {
     /// Plan every model (via [`NetworkPlan::plan_tuned`]) and start the
     /// batcher and cluster worker threads.
-    pub fn start(models: Vec<ModelSpec>, cfg: ServeConfig) -> Result<Server, NetworkError> {
-        assert!(!models.is_empty(), "need at least one model");
-        assert!(cfg.clusters >= 1, "need at least one cluster");
+    pub fn start(models: Vec<ModelSpec>, cfg: ServeConfig) -> Result<Server, StartError> {
+        if models.is_empty() {
+            return Err(StartError::NoModels);
+        }
+        if cfg.clusters == 0 {
+            return Err(StartError::NoClusters);
+        }
         let models: Vec<ModelRuntime> = models
             .into_iter()
             .map(|spec| {
@@ -175,7 +203,8 @@ impl Server {
                 let nb = spec.layers[0].nb;
                 Ok(ModelRuntime { spec, plan, nb })
             })
-            .collect::<Result<_, NetworkError>>()?;
+            .collect::<Result<_, NetworkError>>()
+            .map_err(StartError::Plan)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queues: models.iter().map(|_| VecDeque::new()).collect(),
@@ -366,11 +395,11 @@ fn batcher_loop(shared: &Shared, models: &[ModelRuntime], budget: Duration) {
     }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    models: &[ModelRuntime],
-    machine_cfg: distconv_simnet::MachineConfig,
-) {
+fn worker_loop(shared: &Shared, models: &[ModelRuntime], machine_cfg: MachineConfig) {
+    // Per model, the survivor plan and pruned faults this worker's
+    // machine degraded to. The configured faults still apply afresh to
+    // every batch run on the model's own plan.
+    let mut standing: Vec<Option<(NetworkPlan, MachineConfig)>> = vec![None; models.len()];
     loop {
         let batch = {
             let mut st = shared.state.lock().unwrap();
@@ -388,36 +417,45 @@ fn worker_loop(
         let rt = &models[batch.model];
         let seeds: Vec<u64> = batch.members.iter().map(|p| p.seed).collect();
         let seed = batch_seed(&seeds);
-        let outcome = execute_batch(
-            &rt.plan,
-            &rt.spec.layers,
-            rt.spec.machine,
-            seed,
-            machine_cfg,
+        let on_standing = standing[batch.model].is_some();
+        let (plan, cfg) = standing[batch.model]
+            .as_ref()
+            .map_or((&rt.plan, machine_cfg), |(plan, cfg)| (plan, *cfg));
+        let outcome = recover(
+            plan,
+            cfg,
+            |plan, cfg| dispatch_batch::<f64>(plan, seed, cfg),
+            |p| {
+                let machine = MachineSpec::new(p, rt.spec.machine.mem);
+                NetworkPlan::plan_tuned(&rt.spec.layers, machine).ok()
+            },
         );
         let done = Instant::now();
         let mut st = shared.state.lock().unwrap();
         st.in_flight -= 1;
         match outcome {
             Ok(out) => {
+                if out.degraded.is_some() {
+                    standing[batch.model] = out.degraded;
+                }
                 let t = &mut st.tallies[batch.model];
                 t.batches += 1;
                 if batch.members.len() < rt.nb {
                     t.partial_flushes += 1;
                 }
-                t.replays += out.replays;
-                if out.degraded_to.is_some() {
+                t.replays += out.recovery.attempts;
+                if on_standing || out.recovery.degraded() {
                     t.degraded_batches += 1;
                 }
-                t.expected_volume += out.run.report.expected_total();
-                t.measured_volume += out.run.report.measured_total();
+                t.expected_volume += out.value.report.expected_total();
+                t.measured_volume += out.value.report.measured_total();
                 let fill = batch.members.len();
                 for (slot, p) in batch.members.into_iter().enumerate() {
                     st.results.push(RequestResult {
                         id: p.id,
                         model: batch.model,
                         seed: p.seed,
-                        digest: out.run.digests[slot],
+                        digest: out.value.digests[slot],
                         latency: done.duration_since(p.submitted),
                         batch_fill: fill,
                     });

@@ -1,10 +1,10 @@
-//! Batcher edge cases: zero-request deadline, partial flush of a lone
-//! request, queue-full backpressure, and a property test pinning
-//! deterministic batch composition.
+//! Batcher edge cases: typed start errors, zero-request deadline,
+//! partial flush of a lone request, queue-full backpressure, and a
+//! property test pinning deterministic batch composition.
 
 use distconv_cost::{Conv2dProblem, MachineSpec};
 use distconv_par::proptest_mini::{check, Config, Gen};
-use distconv_serve::{ModelSpec, ServeConfig, Server, SubmitError};
+use distconv_serve::{ModelSpec, ServeConfig, Server, StartError, SubmitError};
 use distconv_simnet::MachineConfig;
 use std::time::Duration;
 
@@ -27,6 +27,16 @@ fn cfg(budget: Duration) -> ServeConfig {
             ..MachineConfig::default()
         },
     }
+}
+
+#[test]
+fn start_without_models_or_clusters_is_a_typed_error() {
+    let mut c = cfg(Duration::from_millis(5));
+    let no_models = Server::start(Vec::new(), c.clone()).err();
+    assert_eq!(no_models, Some(StartError::NoModels));
+    c.clusters = 0;
+    let no_clusters = Server::start(vec![tiny_model("idle")], c).err();
+    assert_eq!(no_clusters, Some(StartError::NoClusters));
 }
 
 #[test]

@@ -125,7 +125,7 @@ fn crashed_training_step_recovers_to_the_fault_free_result() {
         .unwrap();
     let clean = run_training_step::<f64>(plan, 42, MachineConfig::default())
         .expect("fault-free step must succeed");
-    assert!(!clean.recovered && clean.retries == 0);
+    assert!(!clean.recovery.recovered());
 
     let cfg = MachineConfig {
         recv_timeout: Duration::from_millis(300),
@@ -133,8 +133,11 @@ fn crashed_training_step_recovers_to_the_fault_free_result() {
         ..MachineConfig::default()
     };
     let r = run_training_step_recovering::<f64>(plan, 42, cfg).expect("step must recover");
-    assert!(r.recovered, "injected crash must be reported as recovered");
-    assert_eq!(r.retries, 1);
+    assert!(
+        r.recovery.recovered(),
+        "injected crash must be reported as recovered"
+    );
+    assert_eq!(r.recovery.attempts, 1);
     assert!(r.forward_verified && r.grad_verified);
     assert_eq!(
         r.measured_volume(),
@@ -142,7 +145,7 @@ fn crashed_training_step_recovers_to_the_fault_free_result() {
         "recovered step must match the fault-free step's algorithmic volume"
     );
     assert!(
-        r.retry_elems > 0,
+        r.recovery.wasted_elems > 0,
         "the aborted attempt's cost must be reported"
     );
 }
@@ -168,12 +171,10 @@ fn persistent_crash_finishes_degraded_on_the_event_backend() {
         .with_config(cfg)
         .run_recovering(7)
         .expect("must finish degraded, not fail");
-    assert!(r.degraded && r.recovered && r.verified);
-    let info = r.degrade.as_ref().expect("degrade details");
-    assert_eq!(info.old_grid, plan.grid);
-    assert_eq!(info.dead_ranks, vec![0]);
+    assert!(r.recovery.degraded() && r.recovery.recovered() && r.verified);
+    assert_eq!(r.recovery.dead_ranks, vec![0]);
     assert!(r.plan.grid.total() < 8, "grid must have shrunk");
-    assert!(info.redist_elems > 0);
+    assert!(r.redist_elems > 0);
     // Conformance validates the measured traffic at P', not P.
     let rep = r.conformance();
     assert!(rep.pass(), "degraded conformance failed:\n{rep}");
