@@ -13,6 +13,10 @@
 //! selected ISA so a scalar-host (or `DISTCONV_SIMD=off`) run is never
 //! mistaken for a vectorized one.
 //!
+//! The `conv_oracle_nets` suite times the verification oracle itself:
+//! `conv2d_direct` / `conv2d_direct_par` chained over the served nets
+//! in f64, where `bench_compare`'s `direct_par` guard also applies.
+//!
 //! `cargo bench -p distconv-bench --bench bench_kernels -- --json [PATH]`
 //! additionally writes the measurements (plus the headline
 //! `speedup_fast_over_reference` / `speedup_simd_over_scalar` /
@@ -21,9 +25,10 @@
 //! `distconv-bench-v1` schema — see `scripts/bench_compare.sh` for
 //! diffing two such files across commits.
 
-use distconv_bench::{bench_report_json, BenchRecord, Suite};
+use distconv_bench::{autotune_nets, bench_report_json, BenchRecord, Suite};
 use distconv_conv::kernels::{
-    conv2d_direct, conv2d_direct_par, conv2d_im2col, conv_tile, out_shape, workload,
+    conv2d_direct, conv2d_direct_par, conv2d_im2col, conv_tile, in_shape, ker_shape, out_shape,
+    workload,
 };
 use distconv_conv::{conv2d_fast, conv_tile_fast, conv_tile_winograd, ConvScratch};
 use distconv_cost::Conv2dProblem;
@@ -179,6 +184,36 @@ fn bench_strided(records: &mut Vec<BenchRecord>) {
     }
 }
 
+/// The oracle as the serving path runs it: `direct` and `direct_par`
+/// chained over each served net's layer list in f64, every layer's
+/// output feeding the next. GFLOP/s is over the whole chain.
+fn bench_oracle_nets(records: &mut Vec<BenchRecord>) {
+    let mut g = Suite::new("conv_oracle_nets");
+    for (name, layers) in autotune_nets() {
+        let flops = layers.iter().map(conv_flops).sum();
+        let input = Tensor4::<f64>::random(in_shape(&layers[0]), 1);
+        let kers: Vec<Tensor4<f64>> = layers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Tensor4::random(ker_shape(p), i as u64))
+            .collect();
+        let chain = |conv: fn(&Conv2dProblem, &Tensor4<f64>, &Tensor4<f64>) -> Tensor4<f64>| {
+            let mut act = conv(&layers[0], &input, &kers[0]);
+            for (p, ker) in layers.iter().zip(&kers).skip(1) {
+                act = conv(p, &act, ker);
+            }
+            act
+        };
+        g.bench_flops(format!("{name}/direct"), flops, || {
+            black_box(chain(conv2d_direct))
+        });
+        g.bench_flops(format!("{name}/direct_par"), flops, || {
+            black_box(chain(conv2d_direct_par))
+        });
+    }
+    records.extend(g.finish());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json_path = args.iter().position(|a| a == "--json").map(|i| {
@@ -202,6 +237,7 @@ fn main() {
     let derived = bench_conv_kernels(&mut records);
     bench_layer_sweep(&mut records);
     bench_strided(&mut records);
+    bench_oracle_nets(&mut records);
 
     for (k, v) in &derived {
         println!("{k}: {v:.2}x");

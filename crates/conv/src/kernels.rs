@@ -30,94 +30,153 @@ pub fn workload<T: Scalar>(p: &Conv2dProblem, seed: u64) -> (Tensor4<T>, Tensor4
     )
 }
 
-/// The paper's Listing 1, verbatim seven-loop reference. `O(N⁷)`,
-/// single-threaded — the ground truth everything else is validated
+/// The paper's Listing 1, `Out[b,k,w,h] = Σ_{c,r,s}
+/// In[b,c,σw·w+r,σh·h+s]·Ker[k,c,r,s]`, single-threaded — the ground
+/// truth every distributed run and every fast kernel is verified
 /// against.
+///
+/// Listing 1's arithmetic in Listing 1's per-element order,
+/// loop-interchanged: each `(b, k)` output plane is built with `c`, `r`
+/// outermost, output rows `w` next and `h` innermost, so the plane
+/// stays in L1 and `h` vectorises. Every element is still `0 + Σ` of
+/// its `(c, r, s)` products in ascending order — no FMA, no
+/// reassociation — so the result is bitwise Listing 1's. The verbatim
+/// seven-loop nest is kept as the witness in
+/// `crates/conv/tests/proptest_direct.rs`.
 pub fn conv2d_direct<T: Scalar>(
     p: &Conv2dProblem,
     input: &Tensor4<T>,
     ker: &Tensor4<T>,
 ) -> Tensor4<T> {
-    assert_eq!(input.shape(), in_shape(p), "In shape mismatch");
-    assert_eq!(ker.shape(), ker_shape(p), "Ker shape mismatch");
-    let mut out = Tensor4::zeros(out_shape(p));
-    for b in 0..p.nb {
-        for k in 0..p.nk {
-            for w in 0..p.nw {
-                for h in 0..p.nh {
-                    let mut acc = T::zero();
-                    for c in 0..p.nc {
-                        for r in 0..p.nr {
-                            for s in 0..p.ns {
-                                acc +=
-                                    input[[b, c, p.sw * w + r, p.sh * h + s]] * ker[[k, c, r, s]];
-                            }
-                        }
-                    }
-                    out[[b, k, w, h]] = acc;
-                }
-            }
-        }
-    }
-    out
+    direct_on(&pool::Pool::new(1), p, input, ker)
 }
 
-/// Below this many multiply-adds, [`conv2d_direct_par`] delegates to
-/// [`conv2d_direct`] outright: spawn/join overhead exceeds the whole
-/// convolution, and even inline the hoisted per-chunk closure measures
-/// ~2× slower than the plain seven-loop nest on small layers (the
-/// repeated `plane`/`row` slicing dominates the 3×3 stencil work).
-/// Both bodies accumulate each element in the same `(c, r, s)` order,
-/// so the cutoff cannot change results.
+/// Below this many multiply-adds, [`conv2d_direct_par`] (and the
+/// whole-problem [`conv2d_fast`](crate::conv2d_fast) and
+/// [`conv2d_winograd`](crate::conv2d_winograd)) run on the calling
+/// thread: the scoped pool's spawn/join (~50–70 µs on a 2-vCPU x86-64
+/// VM) costs more than the split saves. Measured on that VM with the
+/// plane body, two workers lose 0–25% up to ~1.3 M multiply-adds and
+/// win 10–40% from ~2.4 M on. Serial and parallel run the same plane
+/// body, so the cutoff cannot change results.
 pub const PAR_MADD_CUTOFF: usize = 2_000_000;
 
-/// Thread-parallel direct convolution (parallel over `(b, k)` pairs —
-/// independent output planes, so the parallelization is race-free by
-/// construction). Produces bitwise-identical results to
-/// [`conv2d_direct`]: each output element is an independent sum in the
-/// same order. Problems under [`PAR_MADD_CUTOFF`] multiply-adds run
-/// serially; larger ones use the shared thread budget
-/// (`distconv_par::pool`).
+/// Thread-parallel [`conv2d_direct`]: the same plane body, with the
+/// independent `(b, k)` output planes handed to the shared thread
+/// budget (`distconv_par::pool`), so the result is bitwise identical
+/// at every thread count. Problems under [`PAR_MADD_CUTOFF`]
+/// multiply-adds run serially.
 pub fn conv2d_direct_par<T: Scalar>(
+    p: &Conv2dProblem,
+    input: &Tensor4<T>,
+    ker: &Tensor4<T>,
+) -> Tensor4<T> {
+    let madds = p.nb * p.nk * p.nw * p.nh * p.nc * p.nr * p.ns;
+    let pool = if madds < PAR_MADD_CUTOFF {
+        pool::Pool::new(1)
+    } else {
+        pool::Pool::default()
+    };
+    direct_on(&pool, p, input, ker)
+}
+
+/// [`conv2d_direct`] on `pool`: the output planes are independent,
+/// so the pool size cannot change the result.
+fn direct_on<T: Scalar>(
+    pool: &pool::Pool,
     p: &Conv2dProblem,
     input: &Tensor4<T>,
     ker: &Tensor4<T>,
 ) -> Tensor4<T> {
     assert_eq!(input.shape(), in_shape(p), "In shape mismatch");
     assert_eq!(ker.shape(), ker_shape(p), "Ker shape mismatch");
-    let plane = p.nw * p.nh;
-    let madds = p.nb * p.nk * plane * p.nc * p.nr * p.ns;
-    if madds < PAR_MADD_CUTOFF || pool::num_threads() <= 1 {
-        return conv2d_direct(p, input, ker);
-    }
     let mut out = Tensor4::zeros(out_shape(p));
-    let yt = p.in_h();
-    let pool = pool::Pool::default();
-    pool.par_chunks_mut(out.as_mut_slice(), plane, |bk, chunk| {
-        let b = bk / p.nk;
-        let k = bk % p.nk;
-        for w in 0..p.nw {
-            for h in 0..p.nh {
-                let mut acc = T::zero();
-                for c in 0..p.nc {
-                    // Hoist the (b, c) input plane and per-(k, c, r)
-                    // kernel row out of the inner stencil loops; the
-                    // (c, r, s) accumulation order is unchanged, so the
-                    // result stays bitwise identical to conv2d_direct.
-                    let in_plane = input.plane(b, c);
-                    for r in 0..p.nr {
-                        let irow = &in_plane[(p.sw * w + r) * yt..][..yt];
-                        let krow = ker.row(k, c, r);
-                        for (s, &kv) in krow.iter().enumerate() {
-                            acc += irow[p.sh * h + s] * kv;
-                        }
-                    }
-                }
-                chunk[w * p.nh + h] = acc;
-            }
-        }
+    pool.par_chunks_mut(out.as_mut_slice(), p.nw * p.nh, |bk, plane| {
+        direct_plane(p, input, ker, bk / p.nk, bk % p.nk, plane)
     });
     out
+}
+
+/// The one oracle body: output plane `(b, k)`, `[N_w][N_h]`, from
+/// zero. For each `(c, r)`, every output row `w` adds its `s` taps,
+/// summed in a register seeded from `out[w, h]`.
+fn direct_plane<T: Scalar>(
+    p: &Conv2dProblem,
+    input: &Tensor4<T>,
+    ker: &Tensor4<T>,
+    b: usize,
+    k: usize,
+    out: &mut [T],
+) {
+    match (p.ns, p.sh) {
+        (1, 1) => plane_taps::<T, 1, 1>(p, input, ker, b, k, out),
+        (3, 1) => plane_taps::<T, 3, 1>(p, input, ker, b, k, out),
+        (2, 2) => plane_taps::<T, 2, 2>(p, input, ker, b, k, out),
+        _ => plane_any(p, input, ker, b, k, out),
+    }
+}
+
+/// [`direct_plane`] for any `(N_s, σ_h)`: the fallback for the shapes
+/// [`plane_taps`] is not instantiated for.
+fn plane_any<T: Scalar>(
+    p: &Conv2dProblem,
+    input: &Tensor4<T>,
+    ker: &Tensor4<T>,
+    b: usize,
+    k: usize,
+    out: &mut [T],
+) {
+    let (nh, yt) = (p.nh, p.in_h());
+    for c in 0..p.nc {
+        let in_plane = input.plane(b, c);
+        for r in 0..p.nr {
+            let krow = ker.row(k, c, r);
+            for (w, orow) in out.chunks_exact_mut(nh).enumerate() {
+                let irow = &in_plane[(p.sw * w + r) * yt..][..yt];
+                for (h, o) in orow.iter_mut().enumerate() {
+                    let mut acc = *o;
+                    for (&x, &kv) in irow[p.sh * h..][..p.ns].iter().zip(krow) {
+                        acc += x * kv;
+                    }
+                    *o = acc;
+                }
+            }
+        }
+    }
+}
+
+/// [`plane_any`] with `(N_s, σ_h) = (NS, SH)` fixed at compile
+/// time: the tap loop unrolls into `NS` offset input slices, which
+/// lets the `h` loop vectorise. Instantiated for the shapes the served
+/// nets use; a runtime-`N_s` loop in the same order gains far less.
+fn plane_taps<T: Scalar, const NS: usize, const SH: usize>(
+    p: &Conv2dProblem,
+    input: &Tensor4<T>,
+    ker: &Tensor4<T>,
+    b: usize,
+    k: usize,
+    out: &mut [T],
+) {
+    let (nh, yt) = (p.nh, p.in_h());
+    let span = SH * (nh - 1) + 1;
+    for c in 0..p.nc {
+        let in_plane = input.plane(b, c);
+        for r in 0..p.nr {
+            let krow: [T; NS] = ker.row(k, c, r).try_into().expect("N_s taps");
+            for w in 0..p.nw {
+                let irow = &in_plane[(p.sw * w + r) * yt..][..yt];
+                let taps: [&[T]; NS] = std::array::from_fn(|s| &irow[s..][..span]);
+                let orow = &mut out[w * nh..][..nh];
+                for (h, o) in orow.iter_mut().enumerate() {
+                    let mut acc = *o;
+                    for s in 0..NS {
+                        acc += taps[s][SH * h] * krow[s];
+                    }
+                    *o = acc;
+                }
+            }
+        }
+    }
 }
 
 /// im2col + matmul reference: lower the convolution to
@@ -286,11 +345,27 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bitwise() {
-        let p = toy();
-        let (input, ker) = workload::<f64>(&p, 42);
-        let a = conv2d_direct(&p, &input, &ker);
-        let b = conv2d_direct_par(&p, &input, &ker);
-        assert_eq!(a.as_slice(), b.as_slice());
+        // The witness is the seven-loop tile kernel from a zero tile:
+        // Listing 1's order. The larger shapes (one specialised and one
+        // generic (N_s, σ_h)) are above the cutoff, and the explicit
+        // two-worker pool splits the planes even under DISTCONV_THREADS=1.
+        // f32, where these sums round and so depend on order.
+        for p in [
+            toy(),
+            Conv2dProblem::new(4, 16, 16, 16, 16, 3, 3, 1, 1),
+            Conv2dProblem::new(4, 16, 16, 12, 12, 4, 4, 2, 3),
+        ] {
+            let (input, ker) = workload::<f32>(&p, 42);
+            let mut witness = Tensor4::zeros(out_shape(&p));
+            conv_tile(&p, &mut witness, &input, &ker);
+            for out in [
+                conv2d_direct(&p, &input, &ker),
+                conv2d_direct_par(&p, &input, &ker),
+                direct_on(&pool::Pool::new(2), &p, &input, &ker),
+            ] {
+                assert_eq!(out.as_slice(), witness.as_slice(), "{p:?}");
+            }
+        }
     }
 
     #[test]

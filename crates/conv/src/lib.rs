@@ -13,10 +13,13 @@
 //!
 //! Contents:
 //!
-//! * [`kernels`] — `conv2d_direct` (Listing 1 reference),
-//!   `conv2d_direct_par` (worker pool), `conv2d_im2col` (matmul-reduction
-//!   reference), the shared tile micro-kernel [`kernels::conv_tile`],
-//!   and the weight-gradient kernel used by the training-step example.
+//! * [`kernels`] — `conv2d_direct`, the oracle every distributed run
+//!   is verified against: Listing 1 loop-interchanged per `(b, k)`
+//!   output plane, bitwise equal to the verbatim seven-loop nest;
+//!   `conv2d_direct_par` (the same plane body on the worker pool),
+//!   `conv2d_im2col` (matmul-reduction reference), the shared tile
+//!   micro-kernel [`kernels::conv_tile`], and the weight-gradient
+//!   kernel used by the training-step example.
 //! * [`gvm`] — executes Listing 3 (and its `k`/`bhw`-innermost
 //!   variants) against an explicit virtual global memory with an
 //!   `M`-capacity local buffer set, counting every element copied

@@ -405,14 +405,23 @@ pub fn run_network_with_outputs<T: Scalar>(
         eps * depth as f64 * 8.0
     };
     let mut worst = 0.0f64;
-    for (coords, origin, slice) in report.results.iter().flatten() {
-        let _ = origin;
+    for (coords, _, slice) in report.results.iter().flatten() {
+        // Compare in place, row by row over the rank's output window.
         let r = out_range(&last, *coords);
-        let expect = act.pack_range(r);
-        for (a, b) in slice.as_slice().iter().zip(expect.iter()) {
-            let (x, y) = (a.to_f64(), b.to_f64());
-            let denom = x.abs().max(y.abs()).max(1.0);
-            worst = worst.max((x - y).abs() / denom);
+        let width = r.hi[3] - r.lo[3];
+        let mut got = slice.as_slice();
+        for b in r.lo[0]..r.hi[0] {
+            for k in r.lo[1]..r.hi[1] {
+                for w in r.lo[2]..r.hi[2] {
+                    let want = &act.row(b, k, w)[r.lo[3]..r.hi[3]];
+                    for (g, e) in got.iter().zip(want) {
+                        let (x, y) = (g.to_f64(), e.to_f64());
+                        let denom = x.abs().max(y.abs()).max(1.0);
+                        worst = worst.max((x - y).abs() / denom);
+                    }
+                    got = &got[width..];
+                }
+            }
         }
     }
     if worst > tol {

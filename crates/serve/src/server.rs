@@ -145,11 +145,17 @@ struct BatchTallies {
     measured_volume: u128,
 }
 
+/// Capacity of one block of the result log.
+const RESULT_BLOCK: usize = 1024;
+
 struct State {
     queues: Vec<VecDeque<Pending>>,
     dispatch: VecDeque<FormedBatch>,
     in_flight: usize,
-    results: Vec<RequestResult>,
+    /// Completed requests, append-only in blocks of [`RESULT_BLOCK`]: a
+    /// push never moves earlier results, so a long run pays no large
+    /// reallocation copy under this mutex.
+    results: Vec<Vec<RequestResult>>,
     rejected: Vec<usize>,
     tallies: Vec<BatchTallies>,
     errors: Vec<String>,
@@ -330,9 +336,10 @@ impl Server {
             w.join().expect("cluster worker panicked");
         }
         let wall = self.started.elapsed();
-        let st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.state.lock().unwrap();
         let report = build_report(&self.models, &st, wall);
-        (report, st.results.clone(), st.errors.clone())
+        let results = std::mem::take(&mut st.results).into_iter().flatten();
+        (report, results.collect(), std::mem::take(&mut st.errors))
     }
 }
 
@@ -451,7 +458,11 @@ fn worker_loop(shared: &Shared, models: &[ModelRuntime], machine_cfg: MachineCon
                 t.measured_volume += out.value.report.measured_total();
                 let fill = batch.members.len();
                 for (slot, p) in batch.members.into_iter().enumerate() {
-                    st.results.push(RequestResult {
+                    if st.results.last().is_none_or(|b| b.len() == RESULT_BLOCK) {
+                        st.results.push(Vec::with_capacity(RESULT_BLOCK));
+                    }
+                    let block = st.results.last_mut().expect("block with room");
+                    block.push(RequestResult {
                         id: p.id,
                         model: batch.model,
                         seed: p.seed,
@@ -481,6 +492,7 @@ fn build_report(models: &[ModelRuntime], st: &State, wall: Duration) -> ServeRep
             let mut lat: Vec<Duration> = st
                 .results
                 .iter()
+                .flatten()
                 .filter(|r| r.model == m)
                 .map(|r| r.latency)
                 .collect();
