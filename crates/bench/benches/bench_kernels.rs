@@ -1,17 +1,16 @@
 //! Wall-clock bench: local convolution kernels — the paper-literal
-//! reference loops vs the packed im2col-GEMM fast path, the
-//! runtime-dispatched SIMD micro-kernel, and the Winograd `F(2×2,3×3)`
-//! bilinear kernel, with a GFLOP/s column and a machine-readable
-//! trajectory.
+//! reference loops vs the packed im2col-GEMM fast path and the
+//! runtime-dispatched SIMD micro-kernel, with a GFLOP/s column and a
+//! machine-readable trajectory.
 //!
 //! **Record policy:** the legacy labels (`conv_tile/reference`,
 //! `conv_tile_fast/packed`, `conv2d_fast/whole`, the sweep's
-//! `direct`/`direct_par`/`im2col`/`fast`) are pinned to the **scalar**
+//! `direct`/`direct_par`/`fast`) are pinned to the **scalar**
 //! micro-kernel so their GFLOP/s trajectory stays comparable across
-//! commits and hosts; the new `*_simd` and `winograd` labels run on
-//! the active (env + CPUID resolved) path. A startup note names the
-//! selected ISA so a scalar-host (or `DISTCONV_SIMD=off`) run is never
-//! mistaken for a vectorized one.
+//! commits and hosts; the `*_simd` labels run on the active (env +
+//! CPUID resolved) path. A startup note names the selected ISA so a
+//! scalar-host (or `DISTCONV_SIMD=off`) run is never mistaken for a
+//! vectorized one.
 //!
 //! The `conv_oracle_nets` suite times the verification oracle itself:
 //! `conv2d_direct` / `conv2d_direct_par` chained over the served nets
@@ -19,18 +18,16 @@
 //!
 //! `cargo bench -p distconv-bench --bench bench_kernels -- --json [PATH]`
 //! additionally writes the measurements (plus the headline
-//! `speedup_fast_over_reference` / `speedup_simd_over_scalar` /
-//! `speedup_winograd_over_fast` on the representative ResNet-style
-//! layer) to `PATH` (default `BENCH_kernels.json`) in the
-//! `distconv-bench-v1` schema — see `scripts/bench_compare.sh` for
+//! `speedup_fast_over_reference` / `speedup_simd_over_scalar` on the
+//! representative ResNet-style layer) to `PATH` (default
+//! `BENCH_kernels.json`) in the `distconv-bench-v1` schema — see `scripts/bench_compare.sh` for
 //! diffing two such files across commits.
 
 use distconv_bench::{autotune_nets, bench_report_json, BenchRecord, Suite};
 use distconv_conv::kernels::{
-    conv2d_direct, conv2d_direct_par, conv2d_im2col, conv_tile, in_shape, ker_shape, out_shape,
-    workload,
+    conv2d_direct, conv2d_direct_par, conv_tile, in_shape, ker_shape, out_shape, workload,
 };
-use distconv_conv::{conv2d_fast, conv_tile_fast, conv_tile_winograd, ConvScratch};
+use distconv_conv::{conv2d_fast, conv_tile_fast, ConvScratch};
 use distconv_cost::Conv2dProblem;
 use distconv_tensor::simd::{self, SimdPath};
 use distconv_tensor::Tensor4;
@@ -57,7 +54,7 @@ fn pinned_scalar<R>(f: impl FnOnce() -> R) -> R {
 
 /// Headline suite on the representative layer (single tile covering
 /// the problem, f32): reference and scalar-pinned fast baselines, then
-/// the SIMD-dispatched fast path and the Winograd kernel.
+/// the SIMD-dispatched fast path.
 fn bench_conv_kernels(records: &mut Vec<BenchRecord>) -> Vec<(&'static str, f64)> {
     let p = representative();
     let flops = conv_flops(&p);
@@ -79,23 +76,12 @@ fn bench_conv_kernels(records: &mut Vec<BenchRecord>) -> Vec<(&'static str, f64)
             black_box(conv2d_fast(&p, &input, &ker))
         });
     });
-    {
-        let mut out_simd = Tensor4::<f32>::zeros(out_shape(&p));
-        let mut scratch = ConvScratch::new();
-        g.bench_flops("conv_tile_fast_simd", flops, || {
-            conv_tile_fast(&p, &mut out_simd, &input, &ker, &mut scratch);
-            black_box(out_simd.as_slice()[0])
-        });
-        let mut out_wino = Tensor4::<f32>::zeros(out_shape(&p));
-        let mut scratch = ConvScratch::new();
-        // Same effective-FLOP accounting as every other record: the
-        // GFLOP/s column reports *direct-conv-equivalent* throughput,
-        // so the 2.25× multiply reduction shows up as speed.
-        g.bench_flops("conv_tile_winograd", flops, || {
-            conv_tile_winograd(&p, &mut out_wino, &input, &ker, &mut scratch);
-            black_box(out_wino.as_slice()[0])
-        });
-    }
+    let mut out_simd = Tensor4::<f32>::zeros(out_shape(&p));
+    let mut scratch = ConvScratch::new();
+    g.bench_flops("conv_tile_fast_simd", flops, || {
+        conv_tile_fast(&p, &mut out_simd, &input, &ker, &mut scratch);
+        black_box(out_simd.as_slice()[0])
+    });
     let recs = g.finish();
     let median = |label: &str| -> Option<f64> {
         recs.iter().find(|r| r.label == label).map(|r| r.median_ns)
@@ -117,15 +103,12 @@ fn bench_conv_kernels(records: &mut Vec<BenchRecord>) -> Vec<(&'static str, f64)
     ) {
         derived.push(("speedup_simd_over_scalar", s));
     }
-    if let Some(s) = ratio(median("conv_tile_fast_simd"), median("conv_tile_winograd")) {
-        derived.push(("speedup_winograd_over_fast", s));
-    }
     records.extend(recs);
     derived
 }
 
-/// Smaller layer shapes: the four scalar-pinned local kernels side by
-/// side, plus the SIMD fast path and (on 3×3 stride-1 shapes) Winograd.
+/// Smaller layer shapes: the three scalar-pinned local kernels side by
+/// side, plus the SIMD fast path.
 fn bench_layer_sweep(records: &mut Vec<BenchRecord>) {
     let layers = [
         ("early_16x16", Conv2dProblem::square(2, 8, 8, 16, 3)),
@@ -143,25 +126,17 @@ fn bench_layer_sweep(records: &mut Vec<BenchRecord>) {
             g.bench_flops("direct_par", flops, || {
                 black_box(conv2d_direct_par(&p, &input, &ker))
             });
-            g.bench_flops("im2col", flops, || {
-                black_box(conv2d_im2col(&p, &input, &ker))
-            });
             g.bench_flops("fast", flops, || black_box(conv2d_fast(&p, &input, &ker)));
         });
         g.bench_flops("fast_simd", flops, || {
             black_box(conv2d_fast(&p, &input, &ker))
         });
-        if distconv_conv::winograd::winograd_applicable(&p) {
-            g.bench_flops("winograd", flops, || {
-                black_box(distconv_conv::conv2d_winograd(&p, &input, &ker))
-            });
-        }
         records.extend(g.finish());
     }
 }
 
 /// Strided layers exercise the gather (σ_h > 1) and implicit (σ_h = 1)
-/// column paths (Winograd does not apply; `fast_simd` still does).
+/// column paths.
 fn bench_strided(records: &mut Vec<BenchRecord>) {
     let layers = [
         ("s2x2", Conv2dProblem::new(2, 16, 16, 8, 8, 3, 3, 2, 2)),
@@ -224,7 +199,7 @@ fn main() {
     });
 
     // One-line ISA note: which micro-kernel path the unpinned records
-    // (fast_simd / winograd) actually ran on.
+    // (`*_simd`) actually ran on.
     println!(
         "micro-kernel ISA path: {} ({}={}; host supports {})",
         simd::active().name(),

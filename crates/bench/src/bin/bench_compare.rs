@@ -8,13 +8,13 @@
 //!
 //! Each `--require SUBSTR` demands that some `suite/label` case key
 //! contains `SUBSTR` — CI uses this to pin the presence of the
-//! `fast_simd`, `winograd` and `oracle_nets` records in
-//! `BENCH_kernels.json`. Validation also enforces the `direct_par`
-//! regression guard — for every `…/direct_par` case with a sibling
-//! `…/direct` case, `direct_par` must not be slower by more than 10%
-//! (the serial fallback below `PAR_MADD_CUTOFF` makes small shapes
-//! free) — uniformly in quick and full mode, plus the autotune and
-//! serving derived-field guards.
+//! `fast_simd` and `oracle_nets` records in `BENCH_kernels.json`.
+//! Validation also enforces the `direct_par` regression guard — for
+//! every `…/direct_par` case with a sibling `…/direct` case,
+//! `direct_par` must not be slower by more than 10% (the serial
+//! fallback below `PAR_MADD_CUTOFF` makes small shapes free) —
+//! uniformly in quick and full mode, plus the autotune and serving
+//! derived-field guards.
 //!
 //! Usually invoked through `scripts/bench_compare.sh`. Files are the
 //! `distconv-bench-v1` schema written by

@@ -63,8 +63,6 @@ pub struct ConvScratch<T> {
     col: Vec<T>,
     /// Column-row offset table for the current `(b, w)` GEMM.
     boff: Vec<usize>,
-    /// Winograd transform buffers (used only by the Winograd kernel).
-    pub(crate) wino: crate::winograd::WinoScratch<T>,
 }
 
 impl<T: Scalar> ConvScratch<T> {
@@ -74,7 +72,6 @@ impl<T: Scalar> ConvScratch<T> {
             at: Vec::new(),
             col: Vec::new(),
             boff: Vec::new(),
-            wino: Default::default(),
         }
     }
 }
@@ -293,7 +290,6 @@ pub fn conv2d<T: Scalar>(
     match kernel {
         LocalKernel::Reference => conv2d_direct_par(p, input, ker),
         LocalKernel::Fast => conv2d_fast(p, input, ker),
-        LocalKernel::Winograd => crate::winograd::conv2d_winograd(p, input, ker),
     }
 }
 

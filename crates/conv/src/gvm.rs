@@ -338,9 +338,6 @@ impl GvmExecutor {
         match self.kernel {
             LocalKernel::Reference => conv_tile(p, out_tile, in_tile, ker_tile),
             LocalKernel::Fast => conv_tile_fast(p, out_tile, in_tile, ker_tile, scratch),
-            LocalKernel::Winograd => {
-                crate::winograd::conv_tile_winograd(p, out_tile, in_tile, ker_tile, scratch)
-            }
         }
     }
 

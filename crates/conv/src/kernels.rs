@@ -52,10 +52,9 @@ pub fn conv2d_direct<T: Scalar>(
 }
 
 /// Below this many multiply-adds, [`conv2d_direct_par`] (and the
-/// whole-problem [`conv2d_fast`](crate::conv2d_fast) and
-/// [`conv2d_winograd`](crate::conv2d_winograd)) run on the calling
-/// thread: the scoped pool's spawn/join (~50–70 µs on a 2-vCPU x86-64
-/// VM) costs more than the split saves. Measured on that VM with the
+/// whole-problem [`conv2d_fast`](crate::conv2d_fast)) run on the
+/// calling thread: the scoped pool's spawn/join (~50–70 µs on a 2-vCPU
+/// x86-64 VM) costs more than the split saves. Measured on that VM with the
 /// plane body, two workers lose 0–25% up to ~1.3 M multiply-adds and
 /// win 10–40% from ~2.4 M on. Serial and parallel run the same plane
 /// body, so the cutoff cannot change results.
@@ -177,56 +176,6 @@ fn plane_taps<T: Scalar, const NS: usize, const SH: usize>(
             }
         }
     }
-}
-
-/// im2col + matmul reference: lower the convolution to
-/// `Out[bwh, k] = Col[bwh, crs] · Ker[k, crs]ᵀ` — the classical
-/// reduction that also underlies the paper's "CNN generalizes matmul"
-/// framing. Used as an independent second reference in property tests.
-pub fn conv2d_im2col<T: Scalar>(
-    p: &Conv2dProblem,
-    input: &Tensor4<T>,
-    ker: &Tensor4<T>,
-) -> Tensor4<T> {
-    assert_eq!(input.shape(), in_shape(p), "In shape mismatch");
-    let crs = p.nc * p.nr * p.ns;
-    let bwh = p.nb * p.nw * p.nh;
-    // Column matrix: row per output point, column per (c, r, s).
-    let mut col = vec![T::zero(); bwh * crs];
-    for b in 0..p.nb {
-        for w in 0..p.nw {
-            for h in 0..p.nh {
-                let row = (b * p.nw + w) * p.nh + h;
-                let base = row * crs;
-                let mut j = 0;
-                for c in 0..p.nc {
-                    for r in 0..p.nr {
-                        for s in 0..p.ns {
-                            col[base + j] = input[[b, c, p.sw * w + r, p.sh * h + s]];
-                            j += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut out = Tensor4::zeros(out_shape(p));
-    for b in 0..p.nb {
-        for w in 0..p.nw {
-            for h in 0..p.nh {
-                let row = (b * p.nw + w) * p.nh + h;
-                for k in 0..p.nk {
-                    let mut acc = T::zero();
-                    let kbase = k * crs;
-                    for j in 0..crs {
-                        acc += col[row * crs + j] * ker.as_slice()[kbase + j];
-                    }
-                    out[[b, k, w, h]] = acc;
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The tile micro-kernel shared by the GVM executor and the distributed
@@ -369,21 +318,15 @@ mod tests {
     }
 
     #[test]
-    fn im2col_matches_direct() {
-        let p = toy();
-        let (input, ker) = workload::<f64>(&p, 7);
-        let a = conv2d_direct(&p, &input, &ker);
-        let b = conv2d_im2col(&p, &input, &ker);
-        assert_close(a.as_slice(), b.as_slice(), 1e-12, "im2col");
-    }
-
-    #[test]
     fn strided_conv_correct() {
+        // σ = 2 on both axes: the oracle's generic-(N_s, σ_h) plane body
+        // against the seven-loop witness, bitwise.
         let p = Conv2dProblem::new(1, 2, 2, 3, 3, 3, 3, 2, 2);
         let (input, ker) = workload::<f64>(&p, 9);
         let a = conv2d_direct(&p, &input, &ker);
-        let b = conv2d_im2col(&p, &input, &ker);
-        assert_close(a.as_slice(), b.as_slice(), 1e-12, "strided");
+        let mut witness = Tensor4::zeros(out_shape(&p));
+        conv_tile(&p, &mut witness, &input, &ker);
+        assert_eq!(a.as_slice(), witness.as_slice(), "strided");
         assert_eq!(a.shape(), Shape4::new(1, 2, 3, 3));
     }
 

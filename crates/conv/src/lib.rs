@@ -17,9 +17,8 @@
 //!   is verified against: Listing 1 loop-interchanged per `(b, k)`
 //!   output plane, bitwise equal to the verbatim seven-loop nest;
 //!   `conv2d_direct_par` (the same plane body on the worker pool),
-//!   `conv2d_im2col` (matmul-reduction reference), the shared tile
-//!   micro-kernel [`kernels::conv_tile`], and the weight-gradient
-//!   kernel used by the training-step example.
+//!   the seven-loop tile witness [`kernels::conv_tile`], and the
+//!   weight-gradient kernel used by the training-step example.
 //! * [`gvm`] — executes Listing 3 (and its `k`/`bhw`-innermost
 //!   variants) against an explicit virtual global memory with an
 //!   `M`-capacity local buffer set, counting every element copied
@@ -29,24 +28,19 @@
 //!   [`fast::conv_tile_fast`] lowers a tile to an implicit-im2col ×
 //!   packed-kernel GEMM on the shared register-blocked micro-kernel,
 //!   bitwise identical to `conv_tile` but several times faster.
-//! * [`winograd`] — `F(2×2, 3×3)` fast bilinear convolution: 2.25×
-//!   fewer multiplies on 3×3 stride-1 layers, batched through the same
-//!   SIMD-dispatched micro-kernel; reference-equal within a documented
-//!   tolerance rather than bitwise (DESIGN.md §7's two-tier policy).
 //!
-//! Executors dispatch between kernels via
-//! [`LocalKernel`](distconv_par::LocalKernel) (DESIGN.md §7).
+//! Every kernel here is bitwise equal to the oracle, so executors pick
+//! between the two tile paths via
+//! [`LocalKernel`](distconv_par::LocalKernel) without changing a
+//! result (DESIGN.md §7).
 
 #![warn(missing_docs)]
 
 pub mod fast;
 pub mod gvm;
 pub mod kernels;
-mod wino_simd;
-pub mod winograd;
 
 pub use distconv_par::LocalKernel;
 pub use fast::{conv2d, conv2d_fast, conv_tile_fast, conv_tile_fast_rows, ConvScratch};
 pub use gvm::{GvmExecutor, GvmMeasurement};
-pub use kernels::{conv2d_direct, conv2d_direct_par, conv2d_im2col, conv_tile, grad_ker};
-pub use winograd::{conv2d_winograd, conv_tile_winograd, conv_tile_winograd_rows};
+pub use kernels::{conv2d_direct, conv2d_direct_par, conv_tile, grad_ker};

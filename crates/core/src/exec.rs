@@ -8,9 +8,9 @@ use crate::model::{eq10_aggregate, expected_volumes, ExpectedVolumes};
 use crate::recover::{recover, Recovery};
 use distconv_conv::kernels::{conv2d_direct_par, workload};
 use distconv_cost::{DistPlan, MachineSpec, Planner};
-use distconv_par::CommMode;
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Machine, MachineConfig, Rank, RunError, StatsSnapshot};
-use distconv_tensor::{Range4, Scalar, Tensor4};
+use distconv_tensor::{max_rel_err, Range4, Scalar, Tensor4};
 use distconv_trace::{ConformanceReport, ConformanceRow, RunTrace, SpanEvent, SpanKind, Tolerance};
 
 /// Errors from the distributed driver.
@@ -145,18 +145,21 @@ pub struct DistConv<T> {
     plan: DistPlan,
     cfg: MachineConfig,
     enforce_memory: bool,
+    kernel: LocalKernel,
     comm: CommMode,
     _marker: std::marker::PhantomData<T>,
 }
 
 impl<T: Scalar> DistConv<T> {
     /// Driver for `plan` with default machine configuration and the
-    /// comm mode resolved from the environment (`DISTCONV_COMM`).
+    /// local kernel and comm mode resolved from the environment
+    /// (`DISTCONV_LOCAL_KERNEL`, `DISTCONV_COMM`), once, here.
     pub fn new(plan: DistPlan) -> Self {
         DistConv {
             plan,
             cfg: MachineConfig::default(),
             enforce_memory: false,
+            kernel: LocalKernel::from_env(),
             comm: CommMode::from_env(),
             _marker: std::marker::PhantomData,
         }
@@ -255,10 +258,10 @@ impl<T: Scalar> DistConv<T> {
         seed: u64,
         verify: bool,
     ) -> Result<(DistConvReport, Vec<RankOut<T>>), CoreError> {
-        let comm = self.comm;
+        let (kernel, comm) = (self.kernel, self.comm);
         let procs = plan.grid.total();
         let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-            rank_body::<T>(rank, &plan, seed, comm)
+            rank_body::<T>(rank, &plan, seed, kernel, comm)
         })?;
 
         let (verified, max_rel_err) = if verify {
@@ -357,6 +360,7 @@ fn rank_body<T: Scalar>(
     rank: &Rank<T>,
     plan: &DistPlan,
     seed: u64,
+    kernel: LocalKernel,
     comm: CommMode,
 ) -> (RankOut<T>, ()) {
     let RankData {
@@ -383,15 +387,7 @@ fn rank_body<T: Scalar>(
         ker_origin,
         out_origin,
     };
-    forward_layer(
-        plan,
-        rank,
-        &layout,
-        &shards,
-        distconv_par::LocalKernel::from_env(),
-        comm,
-        &mut out_slice,
-    );
+    forward_layer(plan, rank, &layout, &shards, kernel, comm, &mut out_slice);
 
     (
         RankOut {
@@ -423,15 +419,36 @@ fn verify_results<T: Scalar>(plan: &DistPlan, seed: u64, results: &[(RankOut<T>,
     let p = plan.problem;
     let (input, ker) = workload::<T>(&p, seed);
     let reference = conv2d_direct_par(&p, &input, &ker);
+    results
+        .iter()
+        .filter_map(|(out, ())| {
+            let slice = out.slice.as_ref()?;
+            let r = distribution::out_range(plan, out.coords);
+            Some(window_max_rel_err(&reference, r, slice))
+        })
+        .fold(0.0, f64::max)
+}
+
+/// [`max_rel_err`] of `got` against the window `win` of `reference`,
+/// compared row by row in place rather than on a packed copy of the
+/// window. A shape mismatch is an infinite error.
+pub(crate) fn window_max_rel_err<T: Scalar>(
+    reference: &Tensor4<T>,
+    win: Range4,
+    got: &Tensor4<T>,
+) -> f64 {
+    if got.shape() != win.shape() {
+        return f64::INFINITY;
+    }
+    let mut rows = got.as_slice().chunks_exact(win.hi[3] - win.lo[3]);
     let mut worst = 0.0f64;
-    for (out, ()) in results {
-        let Some(slice) = &out.slice else { continue };
-        let r = distribution::out_range(plan, out.coords);
-        let ref_buf = reference.pack_range(r);
-        for (a, b) in slice.as_slice().iter().zip(ref_buf.iter()) {
-            let (x, y) = (a.to_f64(), b.to_f64());
-            let denom = x.abs().max(y.abs()).max(1.0);
-            worst = worst.max((x - y).abs() / denom);
+    for a in win.lo[0]..win.hi[0] {
+        for b in win.lo[1]..win.hi[1] {
+            for c in win.lo[2]..win.hi[2] {
+                let want = &reference.row(a, b, c)[win.lo[3]..win.hi[3]];
+                let got = rows.next().expect("one row per window row");
+                worst = worst.max(max_rel_err(got, want).expect("equal row widths"));
+            }
         }
     }
     worst

@@ -212,13 +212,11 @@ pub(crate) fn tile_range(plan: &DistPlan, origin: [usize; 4], j: [usize; 4]) -> 
 /// Accumulate one tile directly into the resident `Out` slice
 /// (no separate `Out`-tile buffer — the paper's memory claim).
 ///
-/// The fast and Winograd paths hand the slice to
-/// [`distconv_conv::conv_tile_fast_rows`] /
-/// [`distconv_conv::conv_tile_winograd_rows`]: the tile's output rows
-/// are strided windows of the resident shard (`h` contiguous), so the
-/// kernels accumulate in place with no bounce buffer. The fast path
-/// is bitwise-identical to the reference loop; Winograd matches it
-/// within the documented tolerance (DESIGN.md §7).
+/// The fast path hands the slice to
+/// [`distconv_conv::conv_tile_fast_rows`]: the tile's output rows are
+/// strided windows of the resident shard (`h` contiguous), so the
+/// kernel accumulates in place with no bounce buffer, bitwise-identical
+/// to the reference loop below (DESIGN.md §7).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_tile_into_slice<T: Scalar>(
     p: &distconv_cost::Conv2dProblem,
@@ -232,18 +230,13 @@ pub(crate) fn conv_tile_into_slice<T: Scalar>(
     let [tb, tk, tw, th] = out_local.extents();
     let tc = in_tile.shape().0[1];
     debug_assert_eq!(tc, ker_tile.shape().0[1]);
-    if kernel != LocalKernel::Reference {
+    if kernel == LocalKernel::Fast {
         let s = out_slice.shape().strides();
         let base = out_local.lo[0] * s[0]
             + out_local.lo[1] * s[1]
             + out_local.lo[2] * s[2]
             + out_local.lo[3];
-        let rows_kernel = match kernel {
-            LocalKernel::Fast => conv_tile_fast_rows,
-            LocalKernel::Winograd => distconv_conv::conv_tile_winograd_rows,
-            LocalKernel::Reference => unreachable!(),
-        };
-        rows_kernel(
+        conv_tile_fast_rows(
             p,
             out_slice.as_mut_slice(),
             base,

@@ -21,13 +21,14 @@
 //! not model, surfaced here as a first-class reported cost.
 
 use crate::distribution::{out_range, shard_geometry};
-use crate::exec::CoreError;
+use crate::exec::{window_max_rel_err, CoreError};
 use crate::layout::{
     consumer_in_window, forward_layer, producer_out_window, redistribute_to_next, BoundaryWindows,
     LayerShards, RankLayout,
 };
 use distconv_conv::kernels::{conv2d_direct_par, in_shape, ker_shape};
 use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, PlanError, Planner};
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
 use distconv_tensor::{Scalar, Tensor4};
 use distconv_trace::{ConformanceReport, ConformanceRow, Tolerance};
@@ -374,8 +375,9 @@ pub fn run_network_with_outputs<T: Scalar>(
         .windows(2)
         .map(|w| BoundaryWindows::new(&w[0], &w[1]))
         .collect();
+    let (kernel, comm) = (LocalKernel::from_env(), CommMode::from_env());
     let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-        network_rank_body::<T>(rank, plan, &windows, seed)
+        network_rank_body::<T>(rank, plan, &windows, seed, kernel, comm)
     })?;
 
     // --- Sequential reference: chain the layers. ---
@@ -404,26 +406,12 @@ pub fn run_network_with_outputs<T: Scalar>(
         };
         eps * depth as f64 * 8.0
     };
-    let mut worst = 0.0f64;
-    for (coords, _, slice) in report.results.iter().flatten() {
-        // Compare in place, row by row over the rank's output window.
-        let r = out_range(&last, *coords);
-        let width = r.hi[3] - r.lo[3];
-        let mut got = slice.as_slice();
-        for b in r.lo[0]..r.hi[0] {
-            for k in r.lo[1]..r.hi[1] {
-                for w in r.lo[2]..r.hi[2] {
-                    let want = &act.row(b, k, w)[r.lo[3]..r.hi[3]];
-                    for (g, e) in got.iter().zip(want) {
-                        let (x, y) = (g.to_f64(), e.to_f64());
-                        let denom = x.abs().max(y.abs()).max(1.0);
-                        worst = worst.max((x - y).abs() / denom);
-                    }
-                    got = &got[width..];
-                }
-            }
-        }
-    }
+    let worst = report
+        .results
+        .iter()
+        .flatten()
+        .map(|(coords, _, slice)| window_max_rel_err(&act, out_range(&last, *coords), slice))
+        .fold(0.0, f64::max);
     if worst > tol {
         return Err(CoreError::VerificationFailed { max_rel_err: worst });
     }
@@ -456,6 +444,8 @@ fn network_rank_body<T: Scalar>(
     plan: &NetworkPlan,
     windows: &[BoundaryWindows],
     seed: u64,
+    kernel: LocalKernel,
+    comm: CommMode,
 ) -> NetOut<T> {
     let mut carried_in: Option<Tensor4<T>> = None; // shard for the next layer
 
@@ -495,15 +485,7 @@ fn network_rank_body<T: Scalar>(
             ker_origin,
             out_origin,
         };
-        forward_layer(
-            lp,
-            rank,
-            &layout,
-            &shards,
-            distconv_par::LocalKernel::from_env(),
-            distconv_par::CommMode::from_env(),
-            &mut out_slice,
-        );
+        forward_layer(lp, rank, &layout, &shards, kernel, comm, &mut out_slice);
 
         if li + 1 < plan.layers.len() {
             carried_in = Some(redistribute_to_next(

@@ -26,10 +26,11 @@
 //! measured counters in tests.
 
 use crate::distribution::{distribute, in_c_dist, ker_c_dist, plan_grid, RankData};
-use crate::exec::CoreError;
+use crate::exec::{window_max_rel_err, CoreError};
 use crate::recover::{recover, Recovery};
 use distconv_conv::kernels::{grad_ker, out_shape, workload};
 use distconv_cost::DistPlan;
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
 use distconv_tensor::{conv_input_region, Range4, Scalar, Shape4, Tensor4};
 
@@ -127,8 +128,10 @@ pub fn run_training_step<T: Scalar>(
     cfg: MachineConfig,
 ) -> Result<TrainReport, CoreError> {
     let procs = plan.grid.total();
-    let report =
-        Machine::try_run::<T, _, _>(procs, cfg, |rank| train_rank_body::<T>(rank, &plan, seed))?;
+    let (kernel, comm) = (LocalKernel::from_env(), CommMode::from_env());
+    let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
+        train_rank_body::<T>(rank, &plan, seed, kernel, comm)
+    })?;
 
     // --- Verification against sequential references. ---
     let p = plan.problem;
@@ -151,14 +154,12 @@ pub fn run_training_step<T: Scalar>(
     for out in &report.results {
         if let Some(slice) = &out.out_slice {
             let rng = crate::distribution::out_range(&plan, out.coords);
-            let expect = reference_out.pack_range(rng);
-            if worst_err(slice.as_slice(), &expect) > tol {
+            if window_max_rel_err(&reference_out, rng, slice) > tol {
                 forward_ok = false;
             }
         }
         // Every rank holds a dKer shard aligned with its Ker shard.
-        let expect = reference_grad.pack_range(out.grad_range);
-        if worst_err(out.grad_shard.as_slice(), &expect) > tol {
+        if window_max_rel_err(&reference_grad, out.grad_range, &out.grad_shard) > tol {
             grad_ok = false;
         }
     }
@@ -204,10 +205,6 @@ pub fn run_training_step_recovering<T: Scalar>(
     })
 }
 
-fn worst_err<T: Scalar>(a: &[T], b: &[T]) -> f64 {
-    distconv_tensor::max_rel_err(a, b).unwrap_or(f64::INFINITY)
-}
-
 /// Per-rank result of a training step.
 pub struct TrainRankOut<T> {
     /// Grid coordinates.
@@ -220,7 +217,13 @@ pub struct TrainRankOut<T> {
     pub grad_range: Range4,
 }
 
-fn train_rank_body<T: Scalar>(rank: &Rank<T>, plan: &DistPlan, seed: u64) -> TrainRankOut<T> {
+fn train_rank_body<T: Scalar>(
+    rank: &Rank<T>,
+    plan: &DistPlan,
+    seed: u64,
+    kernel: LocalKernel,
+    comm: CommMode,
+) -> TrainRankOut<T> {
     let p = plan.problem;
     let (w, t) = (plan.w, plan.t);
     assert_eq!(t.tc, 1, "the distributed schedule requires T_c = 1");
@@ -275,8 +278,8 @@ fn train_rank_body<T: Scalar>(rank: &Rank<T>, plan: &DistPlan, seed: u64) -> Tra
         ker_shard: &ker_shard,
         ker_origin,
         out_origin,
-        kernel: distconv_par::LocalKernel::from_env(),
-        comm: distconv_par::CommMode::from_env(),
+        kernel,
+        comm,
     };
     crate::fwd::forward_tiles(&ctx, &mut out_slice);
     if plan.grid.pc > 1 {
@@ -466,7 +469,7 @@ mod tests {
             .unwrap();
         let procs = plan.grid.total();
         let report = Machine::run::<f64, _, _>(procs, MachineConfig::default(), |rank| {
-            train_rank_body::<f64>(rank, &plan, 3)
+            train_rank_body::<f64>(rank, &plan, 3, LocalKernel::Fast, CommMode::default())
         });
         for out in &report.results {
             // Must match the distribution module's Ker shard for the rank.

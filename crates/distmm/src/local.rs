@@ -103,10 +103,7 @@ pub fn local_matmul<T: Scalar>(
 ) {
     match kernel {
         LocalKernel::Reference => matmul_blocked_ref(c, a, b),
-        // Winograd is a convolution algorithm; matmuls have no fast
-        // bilinear analog here, so it means "the fast packed kernel" —
-        // bitwise identical to Fast, keeping the env knob global-safe.
-        LocalKernel::Fast | LocalKernel::Winograd => matmul_blocked_par(c, a, b),
+        LocalKernel::Fast => matmul_blocked_par(c, a, b),
     }
 }
 
@@ -241,12 +238,7 @@ mod tests {
     #[test]
     fn local_matmul_dispatch_agrees() {
         let (a, b, c_ref) = reference(33, 40, 29);
-        // Winograd is conv-only; for matmuls it must be bitwise Fast.
-        for kernel in [
-            LocalKernel::Reference,
-            LocalKernel::Fast,
-            LocalKernel::Winograd,
-        ] {
+        for kernel in [LocalKernel::Reference, LocalKernel::Fast] {
             let mut c = Matrix::zeros(33, 29);
             local_matmul(kernel, &mut c, &a, &b);
             assert_eq!(c.as_slice(), c_ref.as_slice(), "{kernel:?}");

@@ -11,12 +11,10 @@
 //!
 //! [`LocalKernel::Reference`] and [`LocalKernel::Fast`] compute
 //! identical sums in the identical per-element order, so switching
-//! between them is bitwise invisible. [`LocalKernel::Winograd`] is a
-//! *fast bilinear* algorithm (different arithmetic, fewer multiplies):
-//! it never changes traffic counters or message schedules, but its
-//! results match the references only within the documented relative
-//! tolerance — exact-match suites stay pinned to the other two (see
-//! DESIGN.md §7's numeric policy).
+//! between them is bitwise invisible: results, traffic counters and
+//! message schedules are the same under either (DESIGN.md §7). The
+//! reference kernels are the witness the property suites check the
+//! fast ones against.
 
 /// Which local compute kernel executors dispatch to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -29,12 +27,6 @@ pub enum LocalKernel {
     /// shared register-blocked micro-kernel (`distconv_tensor::gemm`).
     #[default]
     Fast,
-    /// Winograd `F(2×2, 3×3)` fast convolution (2.25× fewer multiplies
-    /// on 3×3 stride-1 layers; other shapes fall back to
-    /// [`LocalKernel::Fast`]). Matmuls have no Winograd analog and use
-    /// the fast kernel. **Not bitwise-equal** to the references — see
-    /// module docs.
-    Winograd,
 }
 
 /// Env override, read by [`LocalKernel::from_env`]:
@@ -51,11 +43,10 @@ impl LocalKernel {
         match v.trim() {
             "reference" | "ref" | "slow" => Ok(LocalKernel::Reference),
             "fast" | "gemm" => Ok(LocalKernel::Fast),
-            "winograd" | "wino" => Ok(LocalKernel::Winograd),
             other => Err(format!(
                 "unrecognized {LOCAL_KERNEL_ENV} value {other:?}: expected one of \
-                 \"reference\"/\"ref\"/\"slow\", \"fast\"/\"gemm\", or \
-                 \"winograd\"/\"wino\" (or unset for the default, fast)"
+                 \"reference\"/\"ref\"/\"slow\" or \"fast\"/\"gemm\" \
+                 (or unset for the default, fast)"
             )),
         }
     }
@@ -78,7 +69,6 @@ impl LocalKernel {
         match self {
             LocalKernel::Reference => "reference",
             LocalKernel::Fast => "fast",
-            LocalKernel::Winograd => "winograd",
         }
     }
 }
@@ -102,10 +92,6 @@ mod tests {
         for v in ["fast", "gemm"] {
             assert_eq!(LocalKernel::parse(v), Ok(LocalKernel::Fast), "{v:?}");
         }
-        for v in ["winograd", "wino"] {
-            assert_eq!(LocalKernel::parse(v), Ok(LocalKernel::Winograd), "{v:?}");
-        }
-        assert_eq!(LocalKernel::Winograd.name(), "winograd");
     }
 
     #[test]
@@ -119,6 +105,9 @@ mod tests {
             "names the knob: {err}"
         );
         assert!(err.contains("\"reference\""), "lists spellings: {err}");
-        assert!(LocalKernel::parse("").is_err());
+        // Retired kernel names are rejected too, never mapped to a default.
+        for v in ["", "winograd", "wino"] {
+            assert!(LocalKernel::parse(v).is_err(), "{v:?}");
+        }
     }
 }

@@ -132,47 +132,6 @@ where
     }
 }
 
-/// Assert two result slices agree element-wise within `rel_tol`
-/// relative error — the harness half of the workspace's **two-tier
-/// numeric policy** (DESIGN.md §7): bitwise-equal kernels use plain
-/// `assert_eq!`; fast *bilinear* kernels (Winograd) are validated with
-/// this, under an analytically justified bound.
-///
-/// The per-element denominator is `max(|got|, |want|, 1)` — relative
-/// error for `O(1)`-and-larger magnitudes, absolute below 1, so
-/// near-cancelled elements don't demand impossible relative precision.
-/// Non-finite values always fail. Panics name the worst element, its
-/// error, and the bound, so a tolerance failure reads like a bench
-/// regression report rather than a bare `assertion failed`.
-pub fn assert_close(what: &str, got: &[f64], want: &[f64], rel_tol: f64) {
-    assert_eq!(
-        got.len(),
-        want.len(),
-        "{what}: length mismatch ({} vs {})",
-        got.len(),
-        want.len()
-    );
-    let mut worst = 0.0f64;
-    let mut worst_i = 0usize;
-    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-        assert!(
-            g.is_finite() && w.is_finite(),
-            "{what}: non-finite element at index {i}: got {g}, want {w}"
-        );
-        let err = (g - w).abs() / g.abs().max(w.abs()).max(1.0);
-        if err > worst {
-            (worst, worst_i) = (err, i);
-        }
-    }
-    assert!(
-        worst <= rel_tol,
-        "{what}: max relative error {worst:.3e} at index {worst_i} \
-         (got {}, want {}) exceeds tolerance {rel_tol:.1e}",
-        got[worst_i],
-        want[worst_i]
-    );
-}
-
 fn parse_seed(v: &str) -> Option<u64> {
     let v = v.trim();
     if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
@@ -262,32 +221,5 @@ mod tests {
             let f = g.f64_unit();
             assert!((0.0..1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn assert_close_accepts_within_tolerance() {
-        assert_close("ok", &[1.0, 2.0 + 1e-9], &[1.0, 2.0], 1e-8);
-        // Small magnitudes are judged absolutely (denominator floors
-        // at 1), so cancellation noise below the bound passes.
-        assert_close("small", &[1e-10], &[0.0], 1e-9);
-        assert_close("empty", &[], &[], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds tolerance")]
-    fn assert_close_reports_worst_element() {
-        assert_close("bad", &[1.0, 5.0], &[1.0, 4.0], 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn assert_close_rejects_nan() {
-        assert_close("nan", &[f64::NAN], &[0.0], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn assert_close_rejects_length_mismatch() {
-        assert_close("len", &[1.0], &[1.0, 2.0], 1.0);
     }
 }

@@ -4,7 +4,7 @@
 //! case with `DISTCONV_PROPTEST_SEED=<seed from the failure report>`).
 
 use distconv::conv::gvm::GvmExecutor;
-use distconv::conv::kernels::{conv2d_direct, conv2d_im2col, workload};
+use distconv::conv::kernels::{conv2d_direct, conv_tile, out_shape, workload};
 use distconv::core::DistConv;
 use distconv::cost::brute::{brute_eq4, brute_eq4_conforming, property5_holds};
 use distconv::cost::closed_form::{ml_deflate, solve_table1};
@@ -12,7 +12,7 @@ use distconv::cost::exact::{eq3_cost_int, eq3_footprint_g};
 use distconv::cost::simplified::InnerLoop;
 use distconv::cost::{Conv2dProblem, MachineSpec, Partition, Planner, Tiling};
 use distconv::par::proptest_mini::{check, Config, Gen};
-use distconv::tensor::assert_close;
+use distconv::tensor::{assert_close, Tensor4};
 
 /// Random small conv problems (kept tiny: the references are O(N^7)).
 fn arb_problem(g: &mut Gen) -> Conv2dProblem {
@@ -29,15 +29,19 @@ fn arb_problem(g: &mut Gen) -> Conv2dProblem {
     )
 }
 
+/// The oracle against the paper's seven-loop nest run as one tile over
+/// the whole problem from zero: the same sums in the same order, so
+/// bitwise equal.
 #[test]
-fn direct_equals_im2col() {
-    check("direct_equals_im2col", Config::with_cases(48), |g| {
+fn direct_equals_conv_tile() {
+    check("direct_equals_conv_tile", Config::with_cases(48), |g| {
         let p = arb_problem(g);
         let seed = g.u64();
         let (input, ker) = workload::<f64>(&p, seed);
         let a = conv2d_direct(&p, &input, &ker);
-        let b = conv2d_im2col(&p, &input, &ker);
-        assert_close(a.as_slice(), b.as_slice(), 1e-10, "direct vs im2col");
+        let mut b = Tensor4::zeros(out_shape(&p));
+        conv_tile(&p, &mut b, &input, &ker);
+        assert_eq!(a.as_slice(), b.as_slice(), "direct vs conv_tile {p:?}");
     });
 }
 
