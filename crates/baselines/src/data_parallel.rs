@@ -36,18 +36,6 @@ pub fn run_data_parallel(
     seed: u64,
     train: bool,
     cfg: MachineConfig,
-) -> BaselineReport {
-    try_run_data_parallel(p, procs, seed, train, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_data_parallel`]: surfaces rank failures (injected
-/// crashes, deadlocks, OOM) as a [`RunError`] instead of panicking.
-pub fn try_run_data_parallel(
-    p: Conv2dProblem,
-    procs: usize,
-    seed: u64,
-    train: bool,
-    cfg: MachineConfig,
 ) -> Result<BaselineReport, RunError> {
     assert!(
         procs <= p.nb,
@@ -56,6 +44,7 @@ pub fn try_run_data_parallel(
     );
     let dist = BlockDist::new(p.nb, procs);
 
+    let kernel = distconv_conv::LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(procs, cfg, |rank| {
         let comm = Communicator::world(rank);
         let me = rank.id();
@@ -100,14 +89,7 @@ pub fn try_run_data_parallel(
         // --- Local forward: an independent sub-problem on my batch. ---
         rank.set_step(2);
         let sub = Conv2dProblem::new(my_nb, p.nk, p.nc, p.nh, p.nw, p.nr, p.ns, p.sw, p.sh);
-        let out = rank.time_compute(|| {
-            distconv_conv::conv2d(
-                &sub,
-                &in_shard,
-                &ker,
-                distconv_conv::LocalKernel::from_env(),
-            )
-        });
+        let out = rank.time_compute(|| distconv_conv::conv2d(&sub, &in_shard, &ker, kernel));
 
         // --- Training: gradient all-reduce (Horovod). ---
         rank.set_step(3);
@@ -187,14 +169,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_surfaces_injected_crash() {
+    fn run_surfaces_injected_crash() {
         use distconv_simnet::FaultPlan;
         let cfg = MachineConfig {
             recv_timeout: std::time::Duration::from_millis(300),
             faults: FaultPlan::default().with_crash(1, 1),
             ..MachineConfig::default()
         };
-        let err = try_run_data_parallel(toy(), 4, 3, false, cfg).expect_err("crash must fail");
+        let err = run_data_parallel(toy(), 4, 3, false, cfg).expect_err("crash must fail");
         assert!(err.has_injected_crash());
         assert!(err.failed_ranks().contains(&1));
     }
@@ -202,7 +184,8 @@ mod tests {
     #[test]
     fn forward_verified_and_exact_volume() {
         for procs in [1usize, 2, 4, 8] {
-            let r = run_data_parallel(toy(), procs, 3, false, MachineConfig::default());
+            let r = run_data_parallel(toy(), procs, 3, false, MachineConfig::default())
+                .expect("data_parallel run");
             assert!(r.verified, "P={procs}");
             assert_eq!(
                 r.stats.total_elems() as u128,
@@ -214,8 +197,10 @@ mod tests {
 
     #[test]
     fn training_allreduce_counted() {
-        let r_fwd = run_data_parallel(toy(), 4, 3, false, MachineConfig::default());
-        let r_trn = run_data_parallel(toy(), 4, 3, true, MachineConfig::default());
+        let r_fwd = run_data_parallel(toy(), 4, 3, false, MachineConfig::default())
+            .expect("data_parallel run");
+        let r_trn = run_data_parallel(toy(), 4, 3, true, MachineConfig::default())
+            .expect("data_parallel run");
         assert!(r_trn.verified);
         assert_eq!(
             r_trn.analytic_recurring - r_fwd.analytic_recurring,
@@ -226,7 +211,8 @@ mod tests {
 
     #[test]
     fn conformance_cross_checks_trace_against_counters() {
-        let r = run_data_parallel(toy(), 4, 3, true, MachineConfig::default());
+        let r = run_data_parallel(toy(), 4, 3, true, MachineConfig::default())
+            .expect("data_parallel run");
         let rep = r.conformance();
         assert!(rep.pass(), "conformance failed:\n{rep}");
         assert_eq!(rep.rows.len(), 1 + 4, "{rep}");
@@ -235,7 +221,8 @@ mod tests {
     #[test]
     fn uneven_batch_split() {
         let p = Conv2dProblem::square(7, 4, 4, 4, 3);
-        let r = run_data_parallel(p, 3, 5, true, MachineConfig::default());
+        let r =
+            run_data_parallel(p, 3, 5, true, MachineConfig::default()).expect("data_parallel run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_total());
     }
@@ -243,6 +230,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot use more ranks")]
     fn too_many_ranks_rejected() {
-        run_data_parallel(toy(), 9, 0, false, MachineConfig::default());
+        run_data_parallel(toy(), 9, 0, false, MachineConfig::default()).expect("data_parallel run");
     }
 }

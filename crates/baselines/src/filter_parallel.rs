@@ -29,17 +29,6 @@ pub fn run_filter_parallel(
     procs: usize,
     seed: u64,
     cfg: MachineConfig,
-) -> BaselineReport {
-    try_run_filter_parallel(p, procs, seed, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_filter_parallel`]: surfaces rank failures (injected
-/// crashes, deadlocks, OOM) as a [`RunError`] instead of panicking.
-pub fn try_run_filter_parallel(
-    p: Conv2dProblem,
-    procs: usize,
-    seed: u64,
-    cfg: MachineConfig,
 ) -> Result<BaselineReport, RunError> {
     assert!(
         procs <= p.nk,
@@ -48,6 +37,7 @@ pub fn try_run_filter_parallel(
     );
     let dist = BlockDist::new(p.nk, procs);
 
+    let kernel = distconv_conv::LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(procs, cfg, |rank| {
         let comm = Communicator::world(rank);
         let me = rank.id();
@@ -88,14 +78,7 @@ pub fn try_run_filter_parallel(
         // --- Local forward on the feature band. ---
         rank.set_step(2);
         let sub = Conv2dProblem::new(p.nb, my_nk, p.nc, p.nh, p.nw, p.nr, p.ns, p.sw, p.sh);
-        let out = rank.time_compute(|| {
-            distconv_conv::conv2d(
-                &sub,
-                &input,
-                &ker_shard,
-                distconv_conv::LocalKernel::from_env(),
-            )
-        });
+        let out = rank.time_compute(|| distconv_conv::conv2d(&sub, &input, &ker_shard, kernel));
         (k_lo, out)
     })?;
 
@@ -139,7 +122,8 @@ mod tests {
     fn forward_verified_and_exact_volume() {
         let p = Conv2dProblem::square(2, 8, 4, 4, 3);
         for procs in [1usize, 2, 4, 8] {
-            let r = run_filter_parallel(p, procs, 13, MachineConfig::default());
+            let r = run_filter_parallel(p, procs, 13, MachineConfig::default())
+                .expect("filter_parallel run");
             assert!(r.verified, "P={procs}");
             assert_eq!(
                 r.stats.total_elems() as u128,
@@ -154,8 +138,10 @@ mod tests {
         // The recurring term must grow linearly with P — the scheme's
         // known failure mode.
         let p = Conv2dProblem::square(2, 8, 4, 8, 3);
-        let r2 = run_filter_parallel(p, 2, 1, MachineConfig::default());
-        let r8 = run_filter_parallel(p, 8, 1, MachineConfig::default());
+        let r2 =
+            run_filter_parallel(p, 2, 1, MachineConfig::default()).expect("filter_parallel run");
+        let r8 =
+            run_filter_parallel(p, 8, 1, MachineConfig::default()).expect("filter_parallel run");
         assert_eq!(r2.analytic_recurring, p.size_in());
         assert_eq!(r8.analytic_recurring, 7 * p.size_in());
         assert!(r8.stats.total_elems() > r2.stats.total_elems());
@@ -164,7 +150,8 @@ mod tests {
     #[test]
     fn uneven_feature_split() {
         let p = Conv2dProblem::square(2, 7, 4, 4, 3);
-        let r = run_filter_parallel(p, 3, 2, MachineConfig::default());
+        let r =
+            run_filter_parallel(p, 3, 2, MachineConfig::default()).expect("filter_parallel run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_total());
     }
@@ -173,6 +160,6 @@ mod tests {
     #[should_panic(expected = "cannot use more ranks")]
     fn too_many_ranks_rejected() {
         let p = Conv2dProblem::square(2, 4, 4, 4, 3);
-        run_filter_parallel(p, 5, 0, MachineConfig::default());
+        run_filter_parallel(p, 5, 0, MachineConfig::default()).expect("filter_parallel run");
     }
 }

@@ -20,7 +20,9 @@
 //!
 //! Each scheme executes real data movement on `simnet`, verifies its
 //! result against the sequential reference, and carries an exact
-//! analytic volume that the measured counters must equal.
+//! analytic volume that the measured counters must equal. Each `run_x`
+//! resolves the local kernel once, on the calling thread, and returns
+//! rank failures (injected crashes, deadlocks, OOM) as a `RunError`.
 //!
 //! Charging conventions (documented per scheme, consistent with how
 //! the paper charges its own algorithm): one-time weight/input
@@ -42,6 +44,6 @@ pub use common::{BaselineKind, BaselineReport};
 /// `distconv_conv::kernels::workload` so baseline runs and references
 /// see identical weights).
 pub const KER_SEED_XOR: u64 = 0xABCD_EF01_2345_6789;
-pub use data_parallel::{run_data_parallel, try_run_data_parallel};
-pub use filter_parallel::{run_filter_parallel, try_run_filter_parallel};
-pub use spatial_parallel::{run_spatial_parallel, spatial_feasible, try_run_spatial_parallel};
+pub use data_parallel::run_data_parallel;
+pub use filter_parallel::run_filter_parallel;
+pub use spatial_parallel::{run_spatial_parallel, spatial_feasible};

@@ -45,17 +45,6 @@ pub fn run_spatial_parallel(
     procs: usize,
     seed: u64,
     cfg: MachineConfig,
-) -> BaselineReport {
-    try_run_spatial_parallel(p, procs, seed, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_spatial_parallel`]: surfaces rank failures (injected
-/// crashes, deadlocks, OOM) as a [`RunError`] instead of panicking.
-pub fn try_run_spatial_parallel(
-    p: Conv2dProblem,
-    procs: usize,
-    seed: u64,
-    cfg: MachineConfig,
 ) -> Result<BaselineReport, RunError> {
     assert!(
         procs <= p.nw,
@@ -72,6 +61,7 @@ pub fn try_run_spatial_parallel(
         );
     }
 
+    let kernel = distconv_conv::LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(procs, cfg, |rank| {
         let comm = Communicator::world(rank);
         let me = rank.id();
@@ -175,9 +165,7 @@ pub fn try_run_spatial_parallel(
             [0, 0, 0, 0],
             [p.nb, p.nc, p.sw * (my_nw - 1) + p.nr, p.in_h()],
         ));
-        let out = rank.time_compute(|| {
-            distconv_conv::conv2d(&sub, &trimmed, &ker, distconv_conv::LocalKernel::from_env())
-        });
+        let out = rank.time_compute(|| distconv_conv::conv2d(&sub, &trimmed, &ker, kernel));
         (w_lo, out)
     })?;
 
@@ -240,7 +228,8 @@ mod tests {
     fn forward_verified_and_exact_volume() {
         let p = Conv2dProblem::square(2, 4, 4, 8, 3);
         for procs in [1usize, 2, 4] {
-            let r = run_spatial_parallel(p, procs, 7, MachineConfig::default());
+            let r = run_spatial_parallel(p, procs, 7, MachineConfig::default())
+                .expect("spatial_parallel run");
             assert!(r.verified, "P={procs}");
             assert_eq!(
                 r.stats.total_elems() as u128,
@@ -254,7 +243,8 @@ mod tests {
     fn strided_no_halo_when_stride_covers_kernel() {
         // σ = 3 ≥ Nr = 3: bands read disjoint inputs, halo = 0.
         let p = Conv2dProblem::new(1, 2, 2, 4, 4, 3, 3, 3, 3);
-        let r = run_spatial_parallel(p, 2, 1, MachineConfig::default());
+        let r =
+            run_spatial_parallel(p, 2, 1, MachineConfig::default()).expect("spatial_parallel run");
         assert!(r.verified);
         let plane = (p.nb * p.nc * p.in_h()) as u128;
         let halo_part = r.analytic_recurring - (1..2u128).map(|_| 0).sum::<u128>() - {
@@ -269,7 +259,8 @@ mod tests {
     #[test]
     fn uneven_bands() {
         let p = Conv2dProblem::square(2, 2, 2, 7, 3);
-        let r = run_spatial_parallel(p, 3, 9, MachineConfig::default());
+        let r =
+            run_spatial_parallel(p, 3, 9, MachineConfig::default()).expect("spatial_parallel run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_total());
     }
@@ -278,6 +269,6 @@ mod tests {
     #[should_panic(expected = "cannot use more ranks")]
     fn too_many_ranks_rejected() {
         let p = Conv2dProblem::square(1, 2, 2, 4, 3);
-        run_spatial_parallel(p, 5, 0, MachineConfig::default());
+        run_spatial_parallel(p, 5, 0, MachineConfig::default()).expect("spatial_parallel run");
     }
 }

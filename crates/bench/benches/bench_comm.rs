@@ -17,13 +17,12 @@
 //! `scripts/bench_compare.sh` for diffing two such files.
 
 use distconv_bench::{bench_report_json, BenchRecord, Suite};
-use distconv_core::DistConv;
+use distconv_core::{execute, NetworkPlan, RunOptions};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_distmm::{
-    cannon_rank_body_mode, dns3d_rank_body_mode, s25d_rank_body_mode, summa_rank_body_mode,
-    MatmulDims,
+    cannon_rank_body, dns3d_rank_body, s25d_rank_body, summa_rank_body, MatmulDims,
 };
-use distconv_par::CommMode;
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{
     CartGrid, Communicator, LinkDelay, Machine, MachineConfig, Rank, TimingSnapshot,
 };
@@ -122,9 +121,10 @@ fn bench_distmm_alg<F>(
     body: F,
 ) -> Option<f64>
 where
-    F: Fn(&Rank<f32>, CommMode) -> Matrix<f32> + Send + Sync + Copy,
+    F: Fn(&Rank<f32>, LocalKernel, CommMode) -> Matrix<f32> + Send + Sync + Copy,
 {
     let flops = mm_flops(d);
+    let kernel = LocalKernel::from_env();
     let cfg = MachineConfig {
         link: bench_link(),
         ..MachineConfig::default()
@@ -136,10 +136,10 @@ where
         .enumerate()
     {
         g.bench_flops(mode.name(), flops, move || {
-            let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, mode));
+            let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel, mode));
             black_box(report.results.len())
         });
-        let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, mode));
+        let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel, mode));
         let (wait_ms, comp_ms) = per_rank_ms(&report.timing, p);
         busy[m] = wait_ms + comp_ms;
         derived.push((format!("{alg}_{}_comm_wait_ms", mode.name()), wait_ms));
@@ -171,22 +171,24 @@ where
 /// timing counters internally).
 fn bench_gvm_executor(records: &mut Vec<BenchRecord>) {
     let layer = Conv2dProblem::square(4, 16, 16, 16, 3);
-    let plan = Planner::new(layer, MachineSpec::new(4, 1 << 22))
+    let plan: NetworkPlan = Planner::new(layer, MachineSpec::new(4, 1 << 22))
         .plan()
-        .expect("plan rep layer");
+        .expect("plan rep layer")
+        .into();
     let cfg = MachineConfig {
         link: bench_link(),
         ..MachineConfig::default()
     };
+    let plan = &plan;
     let mut g = Suite::new("gvm_executor_comm");
     for mode in [CommMode::Blocking, CommMode::Overlapped] {
         g.bench(mode.name(), move || {
-            let (report, _) = DistConv::<f32>::new(plan)
-                .with_config(cfg)
-                .with_comm_mode(mode)
-                .run_with_outputs(7)
-                .expect("executor run");
-            black_box(report.stats.total_msgs())
+            let opts = RunOptions {
+                verify: false,
+                comm: mode,
+            };
+            let run = execute::<f32>(plan, 7, cfg, opts).expect("executor run");
+            black_box(run.report.stats.total_msgs())
         });
     }
     records.extend(g.finish());
@@ -200,6 +202,7 @@ fn bench_gvm_executor(records: &mut Vec<BenchRecord>) {
 fn bench_trace_overhead(records: &mut Vec<BenchRecord>, derived: &mut Vec<(String, f64)>) {
     let d = rep_gemm();
     let flops = mm_flops(&d);
+    let kernel = LocalKernel::from_env();
     let mut g = Suite::new("trace_overhead_rep");
     for (label, trace) in [
         ("traced", TraceConfig::default()),
@@ -211,7 +214,7 @@ fn bench_trace_overhead(records: &mut Vec<BenchRecord>, derived: &mut Vec<(Strin
         };
         g.bench_flops(label, flops, move || {
             let report = Machine::run::<f32, _, _>(4, cfg, move |rank| {
-                cannon_rank_body_mode(rank, &d, 2, CommMode::Overlapped)
+                cannon_rank_body(rank, &d, 2, kernel, CommMode::Overlapped)
             });
             black_box(report.results.len())
         });
@@ -250,7 +253,7 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, mode| cannon_rank_body_mode(rank, &d, 2, mode),
+        move |rank, kernel, mode| cannon_rank_body(rank, &d, 2, kernel, mode),
     );
     bench_distmm_alg(
         "summa",
@@ -258,7 +261,7 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, mode| summa_rank_body_mode(rank, &d, 2, 2, mode),
+        move |rank, kernel, mode| summa_rank_body(rank, &d, 2, 2, kernel, mode),
     );
     bench_distmm_alg(
         "s25d",
@@ -266,7 +269,7 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, mode| s25d_rank_body_mode(rank, &d, 2, 2, mode),
+        move |rank, kernel, mode| s25d_rank_body(rank, &d, 2, 2, kernel, mode),
     );
     bench_distmm_alg(
         "dns3d",
@@ -274,7 +277,7 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, mode| dns3d_rank_body_mode(rank, &d, 2, mode),
+        move |rank, kernel, mode| dns3d_rank_body(rank, &d, 2, kernel, mode),
     );
     bench_gvm_executor(&mut records);
     bench_trace_overhead(&mut records, &mut derived);

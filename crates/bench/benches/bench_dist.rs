@@ -4,10 +4,19 @@
 
 use distconv_baselines::run_data_parallel;
 use distconv_bench::Suite;
-use distconv_core::DistConv;
+use distconv_core::{execute, NetworkPlan, NetworkRun, RunOptions};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_simnet::MachineConfig;
 use std::hint::black_box;
+
+/// One unverified run of `plan` with workload `seed`.
+fn run(plan: &NetworkPlan, seed: u64) -> NetworkRun<f32> {
+    let opts = RunOptions {
+        verify: false,
+        ..RunOptions::default()
+    };
+    execute::<f32>(plan, seed, MachineConfig::default(), opts).expect("executor run")
+}
 
 fn layer() -> Conv2dProblem {
     Conv2dProblem::square(4, 16, 16, 8, 3)
@@ -18,10 +27,9 @@ fn bench_distconv() {
     for procs in [4usize, 8, 16] {
         let plan = Planner::new(layer(), MachineSpec::new(procs, 1 << 20))
             .plan()
-            .unwrap();
-        g.bench(format!("ranks/{procs}"), move || {
-            black_box(DistConv::<f32>::new(plan).run(7))
-        });
+            .unwrap()
+            .into();
+        g.bench(format!("ranks/{procs}"), move || black_box(run(&plan, 7)));
     }
     g.finish();
 }
@@ -33,17 +41,15 @@ fn bench_regime_ablation() {
     let mut g = Suite::new("regime_ablation");
     let free = Planner::new(p, MachineSpec::new(16, 1 << 22))
         .plan()
-        .unwrap();
+        .unwrap()
+        .into();
     let forced = Planner::new(p, MachineSpec::new(16, 1 << 22))
         .with_forced_pc(1)
         .plan()
-        .unwrap();
-    g.bench("planner_choice", move || {
-        black_box(DistConv::<f32>::new(free).run(9))
-    });
-    g.bench("forced_pc1", move || {
-        black_box(DistConv::<f32>::new(forced).run(9))
-    });
+        .unwrap()
+        .into();
+    g.bench("planner_choice", move || black_box(run(&free, 9)));
+    g.bench("forced_pc1", move || black_box(run(&forced, 9)));
     g.finish();
 }
 
@@ -52,12 +58,13 @@ fn bench_vs_data_parallel() {
     let mut g = Suite::new("vs_data_parallel");
     let plan = Planner::new(p, MachineSpec::new(4, 1 << 20))
         .plan()
-        .unwrap();
-    g.bench("distconv_p4", move || {
-        black_box(DistConv::<f32>::new(plan).run(11))
-    });
+        .unwrap()
+        .into();
+    g.bench("distconv_p4", move || black_box(run(&plan, 11)));
     g.bench("data_parallel_p4", move || {
-        black_box(run_data_parallel(p, 4, 11, true, MachineConfig::default()))
+        black_box(
+            run_data_parallel(p, 4, 11, true, MachineConfig::default()).expect("data_parallel run"),
+        )
     });
     g.finish();
 }

@@ -32,9 +32,15 @@ fn bench_distributed_matmul() {
     let d = MatmulDims::square(128);
     let cfg = MachineConfig::default();
     let mut g = Suite::new("dist_matmul_p8_n128");
-    g.bench("summa_2x4", || black_box(run_summa(d, 2, 4, cfg)));
-    g.bench("s25d_2x2_c2", || black_box(run_25d(d, 2, 2, cfg)));
-    g.bench("dns3d_2", || black_box(run_dns3d(d, 2, cfg)));
+    g.bench("summa_2x4", || {
+        black_box(run_summa(d, 2, 4, cfg).expect("summa run"))
+    });
+    g.bench("s25d_2x2_c2", || {
+        black_box(run_25d(d, 2, 2, cfg).expect("25d run"))
+    });
+    g.bench("dns3d_2", || {
+        black_box(run_dns3d(d, 2, cfg).expect("dns3d run"))
+    });
     g.finish();
 }
 

@@ -5,8 +5,9 @@
 //! pinned seed, so the whole sweep is bit-reproducible and golden-pinned
 //! in CI — "randomized" means *sampled*, never *nondeterministic*.
 
+use super::{run_layer, run_layer_recovering};
 use crate::table::{fnum, inum, Table};
-use distconv_core::DistConv;
+use distconv_core::expected_volumes;
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_par::rng::SplitMix64;
 use distconv_simnet::{Backend, FaultPlan, MachineConfig};
@@ -86,24 +87,19 @@ pub fn e16_chaos_sweep() -> Table {
                 faults: fp,
                 ..MachineConfig::default()
             };
-            let drv = DistConv::<f64>::new(plan).with_config(cfg);
             // Verification replays the sequential reference per run; do
             // it where it is cheap and lean on the element-exact traffic
             // identity plus backend equivalence at P = 1024.
             let verify = procs <= 256;
-            let r = if verify {
-                drv.run_verified(23).unwrap()
-            } else {
-                drv.run(23)
-            };
+            let r = run_layer(plan, 23, cfg, verify).report;
             assert_eq!(
-                r.measured_volume() as u128,
-                r.expected.total(),
+                r.measured_total(),
+                expected_volumes(&plan).total(),
                 "P={procs} {name}: volume must stay element-exact under faults"
             );
-            let base = *baseline_volume.get_or_insert(r.measured_volume());
+            let base = *baseline_volume.get_or_insert(r.measured_total());
             assert_eq!(
-                r.measured_volume(),
+                r.measured_total(),
                 base,
                 "P={procs} {name}: algorithmic volume must be fault-independent"
             );
@@ -114,7 +110,7 @@ pub fn e16_chaos_sweep() -> Table {
             t.row(vec![
                 procs.to_string(),
                 name,
-                inum(r.measured_volume() as u128),
+                inum(r.measured_total()),
                 inum(f.retrans_msgs as u128),
                 inum(f.dropped_msgs as u128),
                 inum(f.ack_msgs as u128),
@@ -165,15 +161,15 @@ pub fn e16_degraded_recovery() -> Table {
             faults: FaultPlan::reliable(E16_CHAOS_SEED).with_persistent_crash(crash_rank, at_send),
             ..MachineConfig::default()
         };
-        let r = DistConv::<f64>::new(plan)
-            .with_config(cfg)
-            .run_recovering(11)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (done, redist) =
+            run_layer_recovering(plan, 11, cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (rec, r) = (&done.recovery, &done.value);
+        let (shrunk, _) = done.degraded.as_ref().expect("degraded plan");
         assert!(
-            r.recovery.degraded() && r.recovery.recovered() && r.verified,
+            rec.degraded() && rec.recovered() && r.report.verified,
             "{name}: must finish verified on a shrunken grid"
         );
-        let conf = r.conformance();
+        let conf = r.conformance(shrunk);
         assert!(conf.pass(), "{name}: conformance at P' failed:\n{conf}");
         let gridfmt = |g: &distconv_cost::planner::GridShape| {
             format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw)
@@ -181,12 +177,12 @@ pub fn e16_degraded_recovery() -> Table {
         t.row(vec![
             name.to_string(),
             gridfmt(&plan.grid),
-            gridfmt(&r.plan.grid),
-            format!("{:?}", r.recovery.dead_ranks),
-            r.recovery.attempts.to_string(),
-            inum(r.recovery.wasted_elems as u128),
-            inum(r.redist_elems as u128),
-            inum(r.measured_volume() as u128),
+            gridfmt(&shrunk.layers[0].grid),
+            format!("{:?}", rec.dead_ranks),
+            rec.attempts.to_string(),
+            inum(rec.wasted_elems as u128),
+            inum(redist as u128),
+            inum(r.report.measured_total()),
             "pass".to_string(),
         ]);
     }

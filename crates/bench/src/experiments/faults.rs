@@ -6,8 +6,8 @@
 //! an injected crash is detected and the step re-run to the same
 //! answer.
 
+use super::{run_layer, run_layer_recovering};
 use crate::table::{fnum, inum, Table};
-use distconv_core::DistConv;
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_simnet::{FaultPlan, MachineConfig};
 use std::time::Duration;
@@ -19,7 +19,7 @@ pub const E13_FAULT_SEED: u64 = 0xC0DE_FA17;
 /// **E13 / fault sweep**: one layer, one grid, a ladder of fault plans.
 pub fn e13_fault_sweep() -> Table {
     let mut t = Table::new(
-        "E13 — fault sweep: DistConv under injected faults (reliable delivery)",
+        "E13 — fault sweep: one layer under injected faults (reliable delivery)",
         &[
             "fault plan",
             "volume",
@@ -62,21 +62,20 @@ pub fn e13_fault_sweep() -> Table {
         ("crash r0 @send 3", FaultPlan::reliable(s).with_crash(0, 3)),
     ];
 
-    let baseline = DistConv::<f64>::new(plan).run_verified(11).unwrap();
+    let baseline = run_layer(plan, 11, MachineConfig::default(), true).report;
     for (name, fp) in cases {
         let cfg = MachineConfig {
             recv_timeout: Duration::from_millis(500),
             faults: fp,
             ..MachineConfig::default()
         };
-        let r = DistConv::<f64>::new(plan)
-            .with_config(cfg)
-            .run_recovering(11)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (done, _) =
+            run_layer_recovering(plan, 11, cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (rec, r) = (&done.recovery, &done.value.report);
         assert!(r.verified, "{name}: result diverged from the reference");
         assert_eq!(
-            r.measured_volume(),
-            baseline.measured_volume(),
+            r.measured_total(),
+            baseline.measured_total(),
             "{name}: algorithmic volume must be fault-independent"
         );
         if fp.is_noop() {
@@ -87,25 +86,25 @@ pub fn e13_fault_sweep() -> Table {
         }
         if fp.crash.is_some() {
             assert!(
-                r.recovery.recovered(),
+                rec.recovered(),
                 "{name}: crash must be detected and retried"
             );
         }
         let f = &r.stats.fault;
         t.row(vec![
             name.to_string(),
-            r.measured_volume().to_string(),
+            r.measured_total().to_string(),
             inum(f.retrans_msgs as u128),
             inum(f.dropped_msgs as u128),
             inum(f.ack_msgs as u128),
             inum(f.dup_msgs as u128),
             fnum(r.makespan),
-            if r.recovery.recovered() {
-                format!("yes ({}x)", r.recovery.attempts)
+            if rec.recovered() {
+                format!("yes ({}x)", rec.attempts)
             } else {
                 "no".into()
             },
-            r.recovery.wasted_elems.to_string(),
+            rec.wasted_elems.to_string(),
         ]);
     }
     t.note("every row's volume equals the fault-free baseline: retransmit/ack traffic is");

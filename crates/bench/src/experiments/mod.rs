@@ -14,3 +14,41 @@ pub use simulated::{
     e3_gvm_exactness, e6_distributed, e7_matmul_analogy, e9_baselines, e9_baselines_analytic,
 };
 pub use trace::{e14_sample_trace, e14_trace_conformance, validate_chrome_trace};
+
+use distconv_core::{
+    execute, mark_recovery, recover, CoreError, NetworkPlan, NetworkRun, Recovered, RunOptions,
+};
+use distconv_cost::{DistPlan, MachineSpec};
+use distconv_simnet::MachineConfig;
+
+/// Run one planned layer as a one-layer network with workload `seed`,
+/// verified against the sequential reference when `verify`. Panics if
+/// the machine fails or the result is wrong: an experiment's table
+/// would be meaningless either way.
+fn run_layer(plan: DistPlan, seed: u64, cfg: MachineConfig, verify: bool) -> NetworkRun<f64> {
+    let opts = RunOptions {
+        verify,
+        ..RunOptions::default()
+    };
+    execute::<f64>(&plan.into(), seed, cfg, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// A verified one-layer run under [`recover`], degrading onto a greedy
+/// re-plan over the survivors, accounted by [`mark_recovery`]; also
+/// returns the checkpoint redistribution onto the survivor plan.
+fn run_layer_recovering(
+    plan: DistPlan,
+    seed: u64,
+    cfg: MachineConfig,
+) -> Result<(Recovered<NetworkPlan, NetworkRun<f64>>, u64), CoreError> {
+    let net = NetworkPlan::from(plan);
+    let machine = |p| MachineSpec::new(p, plan.machine.mem);
+    let mut done = recover(
+        &net,
+        cfg,
+        |n, c| execute::<f64>(n, seed, c, RunOptions::default()),
+        |p| NetworkPlan::plan(&[plan.problem], machine(p)).ok(),
+    )?;
+    let redist = mark_recovery(&net, &mut done);
+    Ok((done, redist))
+}

@@ -2,13 +2,14 @@
 //! machine (E3, E6, E7, E9, E10 on the thread-per-rank backend, E15 on
 //! the discrete-event backend).
 
+use super::run_layer;
 use crate::table::{fnum, inum, Table};
 use distconv_baselines::{
     run_data_parallel, run_filter_parallel, run_spatial_parallel, spatial_feasible,
 };
 use distconv_conv::gvm::GvmExecutor;
 use distconv_conv::kernels::workload;
-use distconv_core::{expected_volumes, DistConv};
+use distconv_core::{execute, expected_volumes, RunOptions};
 use distconv_cost::exact::{constant_gap, eq3_cost_int};
 use distconv_cost::simplified::InnerLoop;
 use distconv_cost::{
@@ -121,9 +122,9 @@ pub fn e6_distributed() -> Table {
             let plan = Planner::new(p, MachineSpec::new(procs, 1 << 20))
                 .plan()
                 .unwrap();
-            let r = DistConv::<f64>::new(plan).run_verified(23).unwrap();
+            let r = run_layer(plan, 23, MachineConfig::default(), true).report;
             assert!(r.verified);
-            assert_eq!(r.measured_volume() as u128, r.expected.total());
+            assert_eq!(r.measured_total(), r.expected_total());
             let gap = plan.predicted.cost_d - plan.predicted.cost_gvm;
             let theorem = (p.size_in_paper() + p.size_ker()) as f64 / procs as f64;
             assert!((gap - theorem).abs() < 1e-6, "constant-gap theorem");
@@ -132,10 +133,10 @@ pub fn e6_distributed() -> Table {
                 name.into(),
                 procs.to_string(),
                 format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-                r.measured_volume().to_string(),
-                inum(r.expected.total()),
+                r.measured_total().to_string(),
+                inum(r.expected_total()),
                 fnum(distconv_core::model::eq10_aggregate(&plan)),
-                r.max_peak_mem().to_string(),
+                r.max_peak_mem.to_string(),
                 fnum(plan.predicted.footprint_gd),
                 "yes".into(),
             ]);
@@ -165,13 +166,13 @@ pub fn e7_matmul_analogy() -> Table {
     let plan = Planner::new(p, MachineSpec::new(procs, 1 << 22))
         .plan()
         .unwrap();
-    let r = DistConv::<f64>::new(plan).run_verified(31).unwrap();
+    let r = run_layer(plan, 31, MachineConfig::default(), true).report;
     let g = plan.grid;
     t.row(vec![
         "distconv (Case chosen by planner)".into(),
         procs.to_string(),
         format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-        r.measured_volume().to_string(),
+        r.measured_total().to_string(),
         r.verified.to_string(),
     ]);
     // Forced 2D-family (Pc = 1): the SUMMA analog.
@@ -179,13 +180,13 @@ pub fn e7_matmul_analogy() -> Table {
         .with_forced_pc(1)
         .plan()
         .unwrap();
-    let r2d = DistConv::<f64>::new(plan2d).run_verified(31).unwrap();
+    let r2d = run_layer(plan2d, 31, MachineConfig::default(), true).report;
     let g = plan2d.grid;
     t.row(vec![
         "distconv (forced Pc=1, 2D analog)".into(),
         procs.to_string(),
         format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-        r2d.measured_volume().to_string(),
+        r2d.measured_total().to_string(),
         r2d.verified.to_string(),
     ]);
 
@@ -194,18 +195,18 @@ pub fn e7_matmul_analogy() -> Table {
         .with_forced_pc(4)
         .plan()
     {
-        let r3d = DistConv::<f64>::new(plan3d).run_verified(31).unwrap();
+        let r3d = run_layer(plan3d, 31, MachineConfig::default(), true).report;
         let g = plan3d.grid;
         t.row(vec![
             "distconv (forced Pc=4, 2.5D/3D analog)".into(),
             procs.to_string(),
             format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-            r3d.measured_volume().to_string(),
+            r3d.measured_total().to_string(),
             r3d.verified.to_string(),
         ]);
     }
 
-    let s = run_summa(dims, 4, 4, cfg);
+    let s = run_summa(dims, 4, 4, cfg).expect("summa run");
     t.row(vec![
         "SUMMA-2D".into(),
         "16".into(),
@@ -213,7 +214,7 @@ pub fn e7_matmul_analogy() -> Table {
         s.stats.total_elems().to_string(),
         s.verified.to_string(),
     ]);
-    let s25 = run_25d(dims, 2, 4, cfg);
+    let s25 = run_25d(dims, 2, 4, cfg).expect("25d run");
     t.row(vec![
         "2.5D (c=4)".into(),
         "16".into(),
@@ -221,7 +222,7 @@ pub fn e7_matmul_analogy() -> Table {
         s25.stats.total_elems().to_string(),
         s25.verified.to_string(),
     ]);
-    let s3 = run_dns3d(MatmulDims::new(dims.m, dims.n, dims.k), 2, cfg);
+    let s3 = run_dns3d(MatmulDims::new(dims.m, dims.n, dims.k), 2, cfg).expect("dns3d run");
     t.row(vec![
         "3D (2³=8 ranks)".into(),
         "8".into(),
@@ -229,7 +230,7 @@ pub fn e7_matmul_analogy() -> Table {
         s3.stats.total_elems().to_string(),
         s3.verified.to_string(),
     ]);
-    let sc = run_cannon(dims, 4, cfg);
+    let sc = run_cannon(dims, 4, cfg).expect("cannon run");
     t.row(vec![
         "Cannon (shift-based 2D)".into(),
         "16".into(),
@@ -264,17 +265,17 @@ pub fn e9_baselines() -> Table {
             let plan = Planner::new(p, MachineSpec::new(procs, 1 << 20))
                 .plan()
                 .unwrap();
-            let r = DistConv::<f64>::new(plan).run_verified(41).unwrap();
+            let r = run_layer(plan, 41, MachineConfig::default(), true).report;
             t.row(vec![
                 name.into(),
                 procs.to_string(),
                 "distconv".into(),
-                r.measured_volume().to_string(),
-                fnum(r.plan.predicted.cost_i * procs as f64),
-                r.max_peak_mem().to_string(),
+                r.measured_total().to_string(),
+                fnum(plan.predicted.cost_i * procs as f64),
+                r.max_peak_mem.to_string(),
                 r.verified.to_string(),
             ]);
-            let dp = run_data_parallel(p, procs, 41, false, cfg);
+            let dp = run_data_parallel(p, procs, 41, false, cfg).expect("data_parallel run");
             t.row(vec![
                 name.into(),
                 procs.to_string(),
@@ -285,7 +286,7 @@ pub fn e9_baselines() -> Table {
                 dp.verified.to_string(),
             ]);
             if spatial_feasible(&p, procs) {
-                let sp = run_spatial_parallel(p, procs, 41, cfg);
+                let sp = run_spatial_parallel(p, procs, 41, cfg).expect("spatial_parallel run");
                 t.row(vec![
                     name.into(),
                     procs.to_string(),
@@ -306,7 +307,7 @@ pub fn e9_baselines() -> Table {
                     "bands too narrow".into(),
                 ]);
             }
-            let fp = run_filter_parallel(p, procs, 41, cfg);
+            let fp = run_filter_parallel(p, procs, 41, cfg).expect("filter_parallel run");
             t.row(vec![
                 name.into(),
                 procs.to_string(),
@@ -384,13 +385,13 @@ pub fn e10_scaling() -> Table {
         let plan = Planner::new(p, MachineSpec::new(procs, 1 << 20))
             .plan()
             .unwrap();
-        let r = DistConv::<f64>::new(plan).run_verified(51).unwrap();
+        let r = run_layer(plan, 51, MachineConfig::default(), true).report;
         let g = plan.grid;
         t.row(vec![
             "strong".into(),
             procs.to_string(),
             format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-            fnum(r.measured_volume() as f64 / procs as f64),
+            fnum(r.measured_total() as f64 / procs as f64),
             format!("{:.3}", r.sim_time * 1e3),
             r.verified.to_string(),
         ]);
@@ -401,13 +402,13 @@ pub fn e10_scaling() -> Table {
         let plan = Planner::new(p, MachineSpec::new(procs, 1 << 20))
             .plan()
             .unwrap();
-        let r = DistConv::<f64>::new(plan).run_verified(53).unwrap();
+        let r = run_layer(plan, 53, MachineConfig::default(), true).report;
         let g = plan.grid;
         t.row(vec![
             "weak".into(),
             procs.to_string(),
             format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-            fnum(r.measured_volume() as f64 / procs as f64),
+            fnum(r.measured_total() as f64 / procs as f64),
             format!("{:.3}", r.sim_time * 1e3),
             r.verified.to_string(),
         ]);
@@ -422,10 +423,11 @@ pub fn check_volume_invariant(p: Conv2dProblem, procs: usize, mem: usize, seed: 
     let Ok(plan) = Planner::new(p, MachineSpec::new(procs, mem)).plan() else {
         return false;
     };
-    let Ok(r) = DistConv::<f64>::new(plan).run_verified(seed) else {
+    let cfg = MachineConfig::default();
+    let Ok(r) = execute::<f64>(&plan.into(), seed, cfg, RunOptions::default()) else {
         return false;
     };
-    r.measured_volume() as u128 == expected_volumes(&plan).total()
+    r.report.measured_total() == expected_volumes(&plan).total()
 }
 
 /// **E11 / α–β time**: the volume metric is network-agnostic; time is
@@ -477,7 +479,7 @@ pub fn e11_alpha_beta() -> Table {
     let mut schemes: Vec<(String, RunFn)> = vec![(
         "distconv (planner grid)".into(),
         Box::new(move |cfg| {
-            let r = DistConv::<f64>::new(plan).with_config(cfg).run(61);
+            let r = run_layer(plan, 61, cfg, false).report;
             (r.stats, r.makespan)
         }),
     )];
@@ -485,7 +487,7 @@ pub fn e11_alpha_beta() -> Table {
         schemes.push((
             "distconv (forced Pc=1)".into(),
             Box::new(move |cfg| {
-                let r = DistConv::<f64>::new(p2d).with_config(cfg).run(61);
+                let r = run_layer(p2d, 61, cfg, false).report;
                 (r.stats, r.makespan)
             }),
         ));
@@ -493,14 +495,14 @@ pub fn e11_alpha_beta() -> Table {
     schemes.push((
         "data-parallel (training)".into(),
         Box::new(move |cfg| {
-            let r = run_data_parallel(p, procs, 61, true, cfg);
+            let r = run_data_parallel(p, procs, 61, true, cfg).expect("data_parallel run");
             (r.stats, r.makespan)
         }),
     ));
     schemes.push((
         "filter-parallel".into(),
         Box::new(move |cfg| {
-            let r = run_filter_parallel(p, procs, 61, cfg);
+            let r = run_filter_parallel(p, procs, 61, cfg).expect("filter_parallel run");
             (r.stats, r.makespan)
         }),
     ));
@@ -622,23 +624,18 @@ pub fn e15_scale_sweep() -> Table {
             trace: TraceConfig::off(),
             ..MachineConfig::default()
         };
-        let drv = DistConv::<f64>::new(plan).with_config(cfg);
         // Verification replays the full sequential reference per run;
         // do it at the small scales, where it is cheap, and lean on
         // backend equivalence (tests/backend_equivalence.rs) plus the
         // element-exact traffic identity at the large ones.
         let verify = procs <= 256;
-        let r = if verify {
-            drv.run_verified(23).unwrap()
-        } else {
-            drv.run(23)
-        };
+        let r = run_layer(plan, 23, cfg, verify).report;
         assert_eq!(r.verified, verify);
 
         // Measured traffic is element-exact against the schedule model,
         // so the model's In/Ker/Out split is measured-validated.
-        let exp = r.expected;
-        assert_eq!(r.measured_volume() as u128, exp.total(), "P={procs}");
+        let exp = expected_volumes(&plan);
+        assert_eq!(r.measured_total(), exp.total(), "P={procs}");
 
         // Undo the realized broadcasts' (n−1)/n inter-rank factor to
         // recover the paper's per-processor Eq. 10 cost_C, aggregated:
@@ -672,12 +669,12 @@ pub fn e15_scale_sweep() -> Table {
             .map(|id| distconv_core::model::expected_peak_mem(&plan, id))
             .max()
             .unwrap();
-        assert_eq!(r.max_peak_mem(), peak_model, "P={procs}: peak memory");
+        assert_eq!(r.max_peak_mem, peak_model, "P={procs}: peak memory");
 
         t.row(vec![
             procs.to_string(),
             format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
-            r.measured_volume().to_string(),
+            r.measured_total().to_string(),
             inum(exp.total()),
             fnum(model_pcost_c),
             derived_pcost_c.to_string(),
@@ -687,7 +684,7 @@ pub fn e15_scale_sweep() -> Table {
             ),
             fnum(gap),
             fnum(theorem),
-            r.max_peak_mem().to_string(),
+            r.max_peak_mem.to_string(),
             peak_model.to_string(),
             r.verified.to_string(),
         ]);

@@ -7,10 +7,12 @@
 //! model, the Eq. 10 aggregate). A communication-volume regression
 //! fails the suite with the offending row's name — not a diffed table.
 
-use distconv_core::DistConv;
+use super::run_layer;
+use distconv_baselines::{run_data_parallel, run_filter_parallel, run_spatial_parallel};
 use distconv_cost::json::JsonValue;
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
-use distconv_simnet::MachineConfig;
+use distconv_distmm::{run_25d, run_cannon, run_dns3d, run_summa, MatmulDims};
+use distconv_simnet::{MachineConfig, RunError};
 use distconv_trace::{ConformanceReport, RunTrace};
 
 /// The conv golden shapes the conformance suite sweeps (a subset of the
@@ -52,25 +54,28 @@ pub fn e14_trace_conformance() -> ConformanceReport {
             let plan = Planner::new(p, MachineSpec::new(procs, 1 << 20))
                 .plan()
                 .unwrap();
-            let r = DistConv::<f64>::new(plan).run_verified(23).unwrap();
-            rep.extend(prefixed(r.conformance(), &format!("{name}/P{procs}")));
+            let r = run_layer(plan, 23, MachineConfig::default(), true);
+            let conf = r.conformance(&plan.into());
+            rep.extend(prefixed(conf, &format!("{name}/P{procs}")));
         }
     }
 
     let cfg = MachineConfig::default();
-    let d = distconv_distmm::MatmulDims::new(30, 20, 25);
-    rep.extend(distconv_distmm::run_summa(d, 2, 3, cfg).conformance("summa"));
-    let dq = distconv_distmm::MatmulDims::new(7, 11, 13);
-    rep.extend(distconv_distmm::run_cannon(dq, 3, cfg).conformance("cannon"));
-    let d3 = distconv_distmm::MatmulDims::new(24, 18, 30);
-    rep.extend(distconv_distmm::run_dns3d(d3, 2, cfg).conformance("dns3d"));
-    let d25 = distconv_distmm::MatmulDims::new(24, 16, 32);
-    rep.extend(distconv_distmm::run_25d(d25, 2, 2, cfg).conformance("s25d"));
-
     let bp = Conv2dProblem::square(8, 4, 4, 8, 3);
-    rep.extend(distconv_baselines::run_data_parallel(bp, 4, 3, true, cfg).conformance());
-    rep.extend(distconv_baselines::run_spatial_parallel(bp, 4, 7, cfg).conformance());
-    rep.extend(distconv_baselines::run_filter_parallel(bp, 4, 13, cfg).conformance());
+    let others = || -> Result<[ConformanceReport; 7], RunError> {
+        Ok([
+            run_summa(MatmulDims::new(30, 20, 25), 2, 3, cfg)?.conformance("summa"),
+            run_cannon(MatmulDims::new(7, 11, 13), 3, cfg)?.conformance("cannon"),
+            run_dns3d(MatmulDims::new(24, 18, 30), 2, cfg)?.conformance("dns3d"),
+            run_25d(MatmulDims::new(24, 16, 32), 2, 2, cfg)?.conformance("s25d"),
+            run_data_parallel(bp, 4, 3, true, cfg)?.conformance(),
+            run_spatial_parallel(bp, 4, 7, cfg)?.conformance(),
+            run_filter_parallel(bp, 4, 13, cfg)?.conformance(),
+        ])
+    };
+    for other in others().expect("fault-free distmm and baseline runs") {
+        rep.extend(other);
+    }
 
     rep
 }
@@ -84,7 +89,7 @@ pub fn e14_sample_trace() -> RunTrace {
     )
     .plan()
     .unwrap();
-    DistConv::<f64>::new(plan).run_verified(23).unwrap().trace
+    run_layer(plan, 23, MachineConfig::default(), true).trace
 }
 
 /// Validate an exported Chrome trace against the committed schema

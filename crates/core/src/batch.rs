@@ -18,8 +18,7 @@
 //!    bit-identical results. [`batch_seed`] folds the per-request
 //!    seeds through SplitMix64 in admission order.
 
-use crate::exec::CoreError;
-use crate::network::{run_network_with_outputs, NetworkPlan, NetworkReport};
+use crate::network::{execute, CoreError, NetworkPlan, NetworkReport, RunOptions};
 use distconv_par::rng::splitmix64;
 use distconv_simnet::MachineConfig;
 use distconv_tensor::Scalar;
@@ -69,10 +68,10 @@ pub fn dispatch_batch<T: Scalar>(
     seed: u64,
     cfg: MachineConfig,
 ) -> Result<BatchRun, CoreError> {
-    let (report, outputs) = run_network_with_outputs::<T>(plan, seed, cfg)?;
+    let run = execute::<T>(plan, seed, cfg, RunOptions::default())?;
     let nb = plan.layers[0].problem.nb;
     let mut digests = vec![0u64; nb];
-    for (_coords, origin, slice) in &outputs {
+    for (_coords, origin, slice) in &run.outputs {
         let [b0, k0, x0, y0] = *origin;
         let [db, dk, dx, dy] = slice.shape().0;
         let data = slice.as_slice();
@@ -90,7 +89,10 @@ pub fn dispatch_batch<T: Scalar>(
             }
         }
     }
-    Ok(BatchRun { report, digests })
+    Ok(BatchRun {
+        report: run.report,
+        digests,
+    })
 }
 
 /// Position-keyed element hash: mixes the global `(k, x, y)` output

@@ -1,42 +1,16 @@
 //! The shared forward tile loop: Listing 3 with the paper's
 //! rotating-broadcast schedule, parameterized over where the shards
 //! came from (seed-materialized, or redistributed from a previous
-//! layer). Used by [`crate::exec`], [`crate::train`] and
-//! [`crate::network`].
+//! layer). Called through [`crate::layout::forward_layer`] by the
+//! forward executor and the training step.
 
 use crate::distribution::{in_c_dist, ker_c_dist};
+use crate::layout::{LayerShards, RankLayout};
 use distconv_conv::{conv_tile_fast_rows, ConvScratch};
 use distconv_cost::DistPlan;
 use distconv_par::{CommMode, LocalKernel};
-use distconv_simnet::{Communicator, Rank};
+use distconv_simnet::Rank;
 use distconv_tensor::{conv_input_region, Range4, Scalar, Tensor4};
-
-/// Everything one rank needs to execute the forward tile loop.
-pub(crate) struct ForwardCtx<'a, 'r, T: Scalar> {
-    pub plan: &'a DistPlan,
-    pub rank: &'a Rank<T>,
-    pub k_comm: &'a Communicator<'r, T>,
-    pub bhw_comm: &'a Communicator<'r, T>,
-    /// This rank's `i_k` grid coordinate.
-    pub ik: usize,
-    /// This rank's `i_c` grid coordinate.
-    pub ic: usize,
-    /// This rank's position along the `bhw` fiber.
-    pub bhw_pos: usize,
-    pub in_shard: &'a Tensor4<T>,
-    pub in_origin: [usize; 4],
-    pub ker_shard: &'a Tensor4<T>,
-    pub ker_origin: [usize; 4],
-    pub out_origin: [usize; 4],
-    /// Local compute kernel for the tile steps (message schedule and
-    /// traffic are kernel-independent; the fast path is bitwise
-    /// identical — see `distconv_conv::fast`).
-    pub kernel: LocalKernel,
-    /// Whether the tile loop overlaps the next step's broadcasts with
-    /// the current step's compute (results and traffic counters are
-    /// identical either way — see `distconv_par::CommMode`).
-    pub comm: CommMode,
-}
 
 /// One step of the linearized `(j_k, j_b, j_w, j_h, c_t)` tile loop:
 /// everything needed to post, wait for, and consume its two broadcasts.
@@ -58,8 +32,15 @@ struct TileStep {
 /// the accumulation order into `out_slice` are identical to the
 /// blocking path, so the output is bitwise equal and the traffic
 /// counters unchanged.
-pub(crate) fn forward_tiles<T: Scalar>(ctx: &ForwardCtx<'_, '_, T>, out_slice: &mut Tensor4<T>) {
-    let plan = ctx.plan;
+pub(crate) fn forward_tiles<T: Scalar>(
+    plan: &DistPlan,
+    rank: &Rank<T>,
+    layout: &RankLayout<'_, T>,
+    shards: &LayerShards<'_, T>,
+    kernel: LocalKernel,
+    comm: CommMode,
+    out_slice: &mut Tensor4<T>,
+) {
     let p = plan.problem;
     let (w, t) = (plan.w, plan.t);
     assert_eq!(t.tc, 1, "the distributed schedule requires T_c = 1");
@@ -77,8 +58,8 @@ pub(crate) fn forward_tiles<T: Scalar>(ctx: &ForwardCtx<'_, '_, T>, out_slice: &
             for jw in 0..sw {
                 for jh in 0..sh {
                     for ct in 0..w.wc {
-                        let out_rng = tile_range(plan, ctx.out_origin, [jb, jk, jh, jw]);
-                        let gc = ctx.ic * w.wc + ct;
+                        let out_rng = tile_range(plan, shards.out_origin, [jb, jk, jh, jw]);
+                        let gc = layout.ic() * w.wc + ct;
                         let in_rng = conv_input_region(out_rng, gc, gc + 1, p.sw, p.sh, p.nr, p.ns);
                         let ker_rng = Range4::new(
                             [out_rng.lo[1], gc, 0, 0],
@@ -101,41 +82,43 @@ pub(crate) fn forward_tiles<T: Scalar>(ctx: &ForwardCtx<'_, '_, T>, out_slice: &
     // stamped t in both modes — the pipelined path stamps a posted
     // broadcast with the step it feeds, so the canonical trace is
     // mode-independent.
-    match ctx.comm {
+    match comm {
         CommMode::Blocking => {
             for (t, step) in steps.iter().enumerate() {
-                ctx.rank.set_step(t as u64);
+                rank.set_step(t as u64);
                 // In tile broadcast along the k fiber.
-                let mut in_buf = if ctx.ik == step.in_owner {
-                    ctx.in_shard
-                        .pack_range(step.in_rng.relative_to(ctx.in_origin))
+                let mut in_buf = if layout.ik() == step.in_owner {
+                    shards
+                        .in_shard
+                        .pack_range(step.in_rng.relative_to(shards.in_origin))
                 } else {
                     vec![T::zero(); step.in_rng.len()]
                 };
-                let _l_in = ctx.rank.mem().lease_or_panic(in_buf.len() as u64);
-                ctx.k_comm.bcast(step.in_owner, &mut in_buf);
+                let _l_in = rank.mem().lease_or_panic(in_buf.len() as u64);
+                layout.k_comm.bcast(step.in_owner, &mut in_buf);
                 let in_tile = Tensor4::from_vec(step.in_rng.shape(), in_buf);
 
                 // Ker tile broadcast along the bhw fiber.
-                let mut ker_buf = if ctx.bhw_pos == step.ker_owner {
-                    ctx.ker_shard
-                        .pack_range(step.ker_rng.relative_to(ctx.ker_origin))
+                let mut ker_buf = if layout.bhw_pos == step.ker_owner {
+                    shards
+                        .ker_shard
+                        .pack_range(step.ker_rng.relative_to(shards.ker_origin))
                 } else {
                     vec![T::zero(); step.ker_rng.len()]
                 };
-                let _l_ker = ctx.rank.mem().lease_or_panic(ker_buf.len() as u64);
-                ctx.bhw_comm.bcast(step.ker_owner, &mut ker_buf);
+                let _l_ker = rank.mem().lease_or_panic(ker_buf.len() as u64);
+                layout.bhw_comm.bcast(step.ker_owner, &mut ker_buf);
                 let ker_tile = Tensor4::from_vec(step.ker_rng.shape(), ker_buf);
 
-                let out_local = step.out_rng.relative_to(ctx.out_origin);
-                ctx.rank.time_compute(|| {
+                let out_local = step.out_rng.relative_to(shards.out_origin);
+                rank.time_compute(|| {
                     conv_tile_into_slice(
                         &p,
                         out_slice,
                         out_local,
                         &in_tile,
                         &ker_tile,
-                        ctx.kernel,
+                        kernel,
                         &mut scratch,
                     )
                 });
@@ -146,46 +129,48 @@ pub(crate) fn forward_tiles<T: Scalar>(ctx: &ForwardCtx<'_, '_, T>, out_slice: &
             // tree sends go out immediately; non-owners pass an empty
             // payload and receive on wait.
             let post = |step: &TileStep| {
-                let in_payload = if ctx.ik == step.in_owner {
-                    ctx.in_shard
-                        .pack_range(step.in_rng.relative_to(ctx.in_origin))
+                let in_payload = if layout.ik() == step.in_owner {
+                    shards
+                        .in_shard
+                        .pack_range(step.in_rng.relative_to(shards.in_origin))
                 } else {
                     Vec::new()
                 };
-                let ker_payload = if ctx.bhw_pos == step.ker_owner {
-                    ctx.ker_shard
-                        .pack_range(step.ker_rng.relative_to(ctx.ker_origin))
+                let ker_payload = if layout.bhw_pos == step.ker_owner {
+                    shards
+                        .ker_shard
+                        .pack_range(step.ker_rng.relative_to(shards.ker_origin))
                 } else {
                     Vec::new()
                 };
                 (
-                    ctx.k_comm.ibcast(step.in_owner, in_payload),
-                    ctx.bhw_comm.ibcast(step.ker_owner, ker_payload),
+                    layout.k_comm.ibcast(step.in_owner, in_payload),
+                    layout.bhw_comm.ibcast(step.ker_owner, ker_payload),
                 )
             };
-            ctx.rank.set_step(0);
+            rank.set_step(0);
             let mut pending = steps.first().map(&post);
             for (t, step) in steps.iter().enumerate() {
                 let (p_in, p_ker) = pending.take().expect("pipeline primed");
                 if let Some(next) = steps.get(t + 1) {
-                    ctx.rank.set_step(t as u64 + 1);
+                    rank.set_step(t as u64 + 1);
                     pending = Some(post(next));
                 }
-                ctx.rank.set_step(t as u64);
-                let _l_in = ctx.rank.mem().lease_or_panic(step.in_rng.len() as u64);
+                rank.set_step(t as u64);
+                let _l_in = rank.mem().lease_or_panic(step.in_rng.len() as u64);
                 let in_tile = Tensor4::from_vec(step.in_rng.shape(), p_in.wait());
-                let _l_ker = ctx.rank.mem().lease_or_panic(step.ker_rng.len() as u64);
+                let _l_ker = rank.mem().lease_or_panic(step.ker_rng.len() as u64);
                 let ker_tile = Tensor4::from_vec(step.ker_rng.shape(), p_ker.wait());
 
-                let out_local = step.out_rng.relative_to(ctx.out_origin);
-                ctx.rank.time_compute(|| {
+                let out_local = step.out_rng.relative_to(shards.out_origin);
+                rank.time_compute(|| {
                     conv_tile_into_slice(
                         &p,
                         out_slice,
                         out_local,
                         &in_tile,
                         &ker_tile,
-                        ctx.kernel,
+                        kernel,
                         &mut scratch,
                     )
                 });
@@ -194,7 +179,7 @@ pub(crate) fn forward_tiles<T: Scalar>(ctx: &ForwardCtx<'_, '_, T>, out_slice: &
     }
     // Whatever follows the tile loop (the caller's c-reduction) is its
     // own step, the same one in both modes.
-    ctx.rank.set_step(steps.len() as u64);
+    rank.set_step(steps.len() as u64);
 }
 
 /// Global `Out` range of tile step `[jb, jk, jh, jw]`.

@@ -1,8 +1,8 @@
 //! The shared **layout layer**: per-layer grid placement, fiber
 //! communicators, the forward pass, and inter-layer redistribution —
-//! hoisted out of the per-algorithm rank bodies so the single-layer
-//! driver ([`crate::exec`]) and the multi-layer network executor
-//! ([`crate::network`]) set a layer up identically.
+//! hoisted out of the rank bodies so the forward executor
+//! ([`crate::network`]) and the training step ([`crate::train`]) set a
+//! layer up identically.
 //!
 //! The redistribution exchange is the executable form of the exact
 //! analytic accounting in [`crate::network::redistribution_volume`]:
@@ -16,7 +16,7 @@
 //! counter can be pinned against the analytic volume to the element.
 
 use crate::distribution::{out_range, plan_grid, shard_geometry};
-use crate::fwd::{forward_tiles, ForwardCtx};
+use crate::fwd::forward_tiles;
 use distconv_cost::DistPlan;
 use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Communicator, Rank, Tag, TrafficClass};
@@ -93,23 +93,7 @@ pub(crate) fn forward_layer<T: Scalar>(
     comm: CommMode,
     out_slice: &mut Tensor4<T>,
 ) {
-    let ctx = ForwardCtx {
-        plan,
-        rank,
-        k_comm: &layout.k_comm,
-        bhw_comm: &layout.bhw_comm,
-        ik: layout.ik(),
-        ic: layout.ic(),
-        bhw_pos: layout.bhw_pos,
-        in_shard: shards.in_shard,
-        in_origin: shards.in_origin,
-        ker_shard: shards.ker_shard,
-        ker_origin: shards.ker_origin,
-        out_origin: shards.out_origin,
-        kernel,
-        comm,
-    };
-    forward_tiles(&ctx, out_slice);
+    forward_tiles(plan, rank, layout, shards, kernel, comm, out_slice);
     if plan.grid.pc > 1 {
         let w = plan.w;
         let mut buf =

@@ -17,7 +17,7 @@
 //!    sub-sliced along `c` over the `P_b·P_h·P_w` ranks that share it;
 //!    its `In` slice sub-sliced along `c` over the `P_k` ranks that
 //!    share it.
-//! 3. **Execute** ([`exec`]) — the tiled loop of Listing 3 with loads
+//! 3. **Execute** ([`layout`]) — the tiled loop of Listing 3 with loads
 //!    replaced by the paper's rotating-broadcast schedule: for each
 //!    channel step, the owner in the `In` distribution broadcasts the
 //!    `In` tile along the `k` fiber, and the owner in the `Ker`
@@ -26,6 +26,14 @@
 //!    dimension becomes the originator").
 //! 4. **Reduce** — when `P_c > 1`, partial `Out` slices are reduced
 //!    along the `c` fiber ("a reduction step at the very end").
+//!
+//! One executor runs it: [`execute`] takes a [`NetworkPlan`], and a
+//! single layer is a one-layer network (`NetworkPlan::from(plan)`).
+//! Between the layers of a chain it redistributes each layer's output
+//! into the next layer's input shards ([`network`]). [`recover`] wraps
+//! any run in bounded restarts and, on a persistent crash, a re-plan
+//! over the survivors; the training step ([`train`]) shares the same
+//! per-layer forward pass.
 //!
 //! [`model`] gives the *exact* expected inter-rank volume of this
 //! schedule (binomial-tree broadcasts, exact halos), which the E6
@@ -43,7 +51,6 @@ pub use distconv_par::pool;
 
 pub mod batch;
 pub mod distribution;
-pub mod exec;
 pub(crate) mod fwd;
 pub mod layout;
 pub mod model;
@@ -52,15 +59,11 @@ pub mod recover;
 pub mod train;
 
 pub use batch::{batch_seed, dispatch_batch, BatchRun};
-pub use exec::{CoreError, DistConv, DistConvReport};
 pub use layout::{consumer_in_window, producer_out_window, RankLayout};
 pub use model::{expected_volumes, ExpectedVolumes};
 pub use network::{
-    redistribution_volume, run_network, run_network_with_outputs, NetworkError, NetworkOut,
-    NetworkPlan, NetworkReport,
+    execute, redistribution_volume, run_network, CoreError, NetworkError, NetworkOut, NetworkPlan,
+    NetworkReport, NetworkRun, RunOptions,
 };
-pub use recover::{recover, Ranks, Recovered, Recovery, MAX_STEP_RETRIES};
-pub use train::{
-    expected_backward_volumes, run_training_step, run_training_step_recovering, BackwardVolumes,
-    TrainReport,
-};
+pub use recover::{mark_recovery, recover, Ranks, Recovered, Recovery, MAX_STEP_RETRIES};
+pub use train::{expected_backward_volumes, run_training_step, BackwardVolumes, TrainReport};

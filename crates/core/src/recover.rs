@@ -1,12 +1,15 @@
 //! The one recovery policy for a distributed run — a layer, a training
 //! step or a served batch: bounded restarts after a fault-injected rank
 //! crash, then, when the crash is persistent, one run on a plan over the
-//! surviving ranks. See [`recover`].
+//! surviving ranks. See [`recover`], and [`mark_recovery`] for what a
+//! checkpointed forward run pays on top.
 
-use crate::exec::CoreError;
-use crate::network::NetworkPlan;
+use crate::distribution::shard_geometry;
+use crate::network::{CoreError, NetworkPlan, NetworkRun};
 use distconv_cost::DistPlan;
 use distconv_simnet::MachineConfig;
+use distconv_tensor::Range4;
+use distconv_trace::{RunTrace, SpanEvent, SpanKind};
 
 /// Maximum checkpoint/restart attempts for a crash-injected step.
 pub const MAX_STEP_RETRIES: u32 = 3;
@@ -127,6 +130,77 @@ pub fn recover<P: Ranks, R>(
         recovery,
         degraded: Some((shrunk, cfg)),
     })
+}
+
+/// Account a recovered forward run of `plan` as a checkpointed restart:
+/// returns the elements of checkpoint state the survivors fetched from
+/// peers to restart on the survivor plan (0 unless it degraded) — kept
+/// apart from both the run's algorithmic counters and the aborted
+/// attempts' traffic, like ARQ overhead — and marks on rank 0 of the
+/// run's trace one restart per aborted attempt (the wasted traffic on
+/// the last) and, when it degraded, the death verdicts and that
+/// redistribution.
+pub fn mark_recovery<T>(
+    plan: &NetworkPlan,
+    done: &mut Recovered<NetworkPlan, NetworkRun<T>>,
+) -> u64 {
+    let redist_elems = done.degraded.as_ref().map_or(0, |(shrunk, _)| {
+        checkpoint_redistribution(
+            &plan.layers[0],
+            &shrunk.layers[0],
+            &done.recovery.dead_ranks,
+        )
+    });
+    mark_trace(&mut done.value.trace, &done.recovery, redist_elems);
+    redist_elems
+}
+
+/// Checkpoint redistribution onto a shrunken grid: survivor `j`
+/// restarts as new rank `j`. Its checkpoint shard covers its *old*
+/// global region; whatever the new shard needs beyond the overlap must
+/// be fetched from peers (every element is held by some survivor —
+/// shards are pure functions of seed and global coordinates).
+fn checkpoint_redistribution(old_plan: &DistPlan, new_plan: &DistPlan, dead: &[usize]) -> u64 {
+    let missing = |new: Range4, old: Range4| new.len() - new.intersect(&old).map_or(0, |r| r.len());
+    let survivors = (0..old_plan.grid.total()).filter(|r| !dead.contains(r));
+    let mut redist_elems = 0u64;
+    for (new_rank, old_rank) in survivors.enumerate().take(new_plan.grid.total()) {
+        let old = shard_geometry(old_plan, old_rank);
+        let new = shard_geometry(new_plan, new_rank);
+        redist_elems += missing(new.in_region, old.in_region) as u64;
+        redist_elems += missing(new.ker_region, old.ker_region) as u64;
+    }
+    redist_elems
+}
+
+/// Timeline markers on rank 0 for what recovery did: one restart per
+/// aborted attempt (the wasted traffic on the last), and when the run
+/// degraded, the death verdicts and the redistribution onto the
+/// shrunken grid.
+fn mark_trace(trace: &mut RunTrace, rec: &Recovery, redist_elems: u64) {
+    let mut mark = |kind, step: u32, peer, elems| {
+        let event = SpanEvent {
+            kind,
+            step: step.into(),
+            peer,
+            tag: 0,
+            elems,
+            start_ns: 0,
+            dur_ns: 0,
+        };
+        trace.push(0, event);
+    };
+    for attempt in 0..rec.attempts {
+        let last = attempt + 1 == rec.attempts;
+        let elems = if last { rec.wasted_elems } else { 0 };
+        mark(SpanKind::CheckpointRestore, attempt, None, elems);
+    }
+    if rec.degraded() {
+        for &d in &rec.dead_ranks {
+            mark(SpanKind::FailureDetect, rec.attempts, Some(d), 0);
+        }
+        mark(SpanKind::Redistribute, rec.attempts, None, redist_elems);
+    }
 }
 
 #[cfg(test)]

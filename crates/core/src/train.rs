@@ -25,9 +25,9 @@
 //! computed exactly by [`expected_backward_volumes`] and pinned against
 //! measured counters in tests.
 
-use crate::distribution::{distribute, in_c_dist, ker_c_dist, plan_grid, RankData};
-use crate::exec::{window_max_rel_err, CoreError};
-use crate::recover::{recover, Recovery};
+use crate::distribution::{distribute, in_c_dist, ker_c_dist, RankData};
+use crate::layout::{forward_layer, LayerShards, RankLayout};
+use crate::network::{window_max_rel_err, CoreError};
 use distconv_conv::kernels::{grad_ker, out_shape, workload};
 use distconv_cost::DistPlan;
 use distconv_par::{CommMode, LocalKernel};
@@ -99,9 +99,6 @@ pub struct TrainReport {
     pub sim_time: f64,
     /// Lamport communication makespan.
     pub makespan: f64,
-    /// What recovery did (default unless
-    /// [`run_training_step_recovering`] had to retry).
-    pub recovery: Recovery,
 }
 
 impl TrainReport {
@@ -122,6 +119,12 @@ impl TrainReport {
 /// final `Out` reduction when `P_c > 1`); the backward pass follows the
 /// module-level description. Both are verified against sequential
 /// references.
+///
+/// The step inputs — weights, activations and upstream gradient — are
+/// all regenerable from `seed`, exactly the checkpointed state a real
+/// trainer restores, so [`crate::recover`] can restart it after a
+/// crash; pass `|_| None` as its re-plan, since a training step never
+/// degrades.
 pub fn run_training_step<T: Scalar>(
     plan: DistPlan,
     seed: u64,
@@ -179,29 +182,6 @@ pub fn run_training_step<T: Scalar>(
         sim_time: report.sim_time,
         makespan: report.makespan,
         stats: report.stats,
-        recovery: Recovery::default(),
-    })
-}
-
-/// [`run_training_step`] with step-level checkpoint/restart under the
-/// [`recover`] policy. The step inputs — weights, activations and
-/// upstream gradient — are all regenerable from `seed`, exactly the
-/// checkpointed state a real trainer restores. A training step never
-/// degrades: a persistent crash returns the last machine error.
-pub fn run_training_step_recovering<T: Scalar>(
-    plan: DistPlan,
-    seed: u64,
-    cfg: MachineConfig,
-) -> Result<TrainReport, CoreError> {
-    let done = recover(
-        &plan,
-        cfg,
-        |plan, cfg| run_training_step::<T>(*plan, seed, cfg),
-        |_| None,
-    )?;
-    Ok(TrainReport {
-        recovery: done.recovery,
-        ..done.value
     })
 }
 
@@ -227,11 +207,9 @@ fn train_rank_body<T: Scalar>(
     let p = plan.problem;
     let (w, t) = (plan.w, plan.t);
     assert_eq!(t.tc, 1, "the distributed schedule requires T_c = 1");
-    let grid = plan_grid(plan);
-    let world: Vec<usize> = (0..rank.size()).collect();
     let RankData {
         coords,
-        bhw_pos,
+        bhw_pos: _,
         mut out_slice,
         out_origin,
         in_shard,
@@ -241,14 +219,12 @@ fn train_rank_body<T: Scalar>(
         ker_origin,
         ker_c_range,
     } = distribute::<T>(plan, rank.id(), seed);
-    let [_ib, ik, ic, _ih, _iw] = coords;
     let _shard_lease = rank
         .mem()
         .lease_or_panic((out_slice.len() + in_shard.len() + ker_shard.len()) as u64);
 
-    let k_comm = grid.sub_comm(rank, rank.id(), &world, &[1]);
-    let bhw_comm = grid.sub_comm(rank, rank.id(), &world, &[0, 3, 4]);
-    let c_comm = grid.sub_comm(rank, rank.id(), &world, &[2]);
+    let layout = RankLayout::new(plan, rank);
+    let (ik, ic) = (layout.ik(), layout.ic());
     let in_dist = in_c_dist(plan);
     let ker_dist = ker_c_dist(plan);
 
@@ -265,29 +241,14 @@ fn train_rank_body<T: Scalar>(
     let (sb, sh, sw) = (w.wb / t.tb, w.wh / t.th, w.ww / t.tw);
 
     // ---------------- Forward pass (Sec. 2.2 verbatim). ----------------
-    let ctx = crate::fwd::ForwardCtx {
-        plan,
-        rank,
-        k_comm: &k_comm,
-        bhw_comm: &bhw_comm,
-        ik,
-        ic,
-        bhw_pos,
+    let shards = LayerShards {
         in_shard: &in_shard,
         in_origin,
         ker_shard: &ker_shard,
         ker_origin,
         out_origin,
-        kernel,
-        comm,
     };
-    crate::fwd::forward_tiles(&ctx, &mut out_slice);
-    if plan.grid.pc > 1 {
-        let mut buf =
-            std::mem::replace(&mut out_slice, Tensor4::zeros(Shape4::new(1, 1, 1, 1))).into_vec();
-        c_comm.reduce(0, &mut buf);
-        out_slice = Tensor4::from_vec(Shape4::new(w.wb, w.wk, w.ww, w.wh), buf);
-    }
+    forward_layer(plan, rank, &layout, &shards, kernel, comm, &mut out_slice);
 
     // ---------------- Backward pass: dKer. ----------------
     // Partial gradient over this rank's (b,w,h) sub-range, full (Wk, Wc).
@@ -322,7 +283,7 @@ fn train_rank_body<T: Scalar>(
                         vec![T::zero(); in_rng.len()]
                     };
                     let _l_in = rank.mem().lease_or_panic(in_buf.len() as u64);
-                    k_comm.bcast(in_owner, &mut in_buf);
+                    layout.k_comm.bcast(in_owner, &mut in_buf);
                     let in_tile = Tensor4::from_vec(in_rng.shape(), in_buf);
                     accumulate_grad(
                         &p,
@@ -352,7 +313,7 @@ fn train_rank_body<T: Scalar>(
             );
         }
     }
-    let mine = bhw_comm.reduce_scatter(&flat, &counts);
+    let mine = layout.bhw_comm.reduce_scatter(&flat, &counts);
     let (gc_lo, gc_hi) = ker_c_range;
     let grad_range = Range4::new(
         [ker_origin[0], ker_origin[1], 0, 0],
@@ -473,7 +434,7 @@ mod tests {
         });
         for out in &report.results {
             // Must match the distribution module's Ker shard for the rank.
-            let grid = plan_grid(&plan);
+            let grid = crate::distribution::plan_grid(&plan);
             let id = grid.index_of(out.coords.as_ref());
             let rd = distribute::<f64>(&plan, id, 3);
             assert_eq!(
@@ -497,12 +458,19 @@ mod tests {
             faults: FaultPlan::default().with_crash(1, 4),
             ..MachineConfig::default()
         };
-        let r = run_training_step_recovering::<f64>(plan, 77, cfg).expect("must recover");
-        assert!(r.recovery.recovered());
-        assert_eq!(r.recovery.attempts, 1);
+        let done = crate::recover(
+            &plan,
+            cfg,
+            |p, c| run_training_step::<f64>(*p, 77, c),
+            |_| None,
+        )
+        .expect("must recover");
+        let r = &done.value;
+        assert!(done.recovery.recovered());
+        assert_eq!(done.recovery.attempts, 1);
         assert!(r.forward_verified && r.grad_verified);
         assert_eq!(r.measured_volume(), clean.measured_volume());
-        assert!(r.recovery.wasted_elems > 0);
+        assert!(done.recovery.wasted_elems > 0);
     }
 
     #[test]

@@ -22,18 +22,8 @@ use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
 
-/// Per-rank Cannon body on a `q × q` grid with the comm mode resolved
-/// from the environment (`DISTCONV_COMM`). Returns this rank's `C`
+/// Per-rank Cannon body on a `q × q` grid: returns this rank's `C`
 /// block.
-pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
-    rank: &Rank<T>,
-    d: &MatmulDims,
-    q: usize,
-) -> Matrix<T> {
-    cannon_rank_body_mode(rank, d, q, CommMode::from_env())
-}
-
-/// [`cannon_rank_body`] with an explicit [`CommMode`].
 ///
 /// In [`CommMode::Overlapped`], each step posts the `t+1` shift
 /// exchange *before* computing step `t`'s block product, then waits —
@@ -47,10 +37,11 @@ pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
 /// extent implicitly via length; the inner dimension of the current `A`
 /// block always equals the current `B` block's row count because both
 /// were skewed by the same schedule.
-pub fn cannon_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
+pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     q: usize,
+    kernel: LocalKernel,
     mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), q * q, "grid size mismatch");
@@ -103,7 +94,6 @@ pub fn cannon_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
     let b_dst = (i + q - 1) % q;
     let b_src = (i + 1) % q;
 
-    let kernel = LocalKernel::from_env();
     // --- q multiply-shift steps. ---
     for step in 0..q {
         debug_assert_eq!(a_kblk, b_kblk, "skew must align k-blocks");
@@ -191,15 +181,11 @@ pub fn cannon_analytic_volume(d: &MatmulDims, q: usize) -> u128 {
 }
 
 /// Drive a Cannon run on `q²` ranks; verify all blocks.
-pub fn run_cannon(d: MatmulDims, q: usize, cfg: MachineConfig) -> MmReport {
-    try_run_cannon(d, q, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_cannon`]: surfaces rank failures as a [`RunError`]
-/// instead of panicking.
-pub fn try_run_cannon(d: MatmulDims, q: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
-    let report =
-        Machine::try_run::<f64, _, _>(q * q, cfg, |rank| cannon_rank_body::<f64>(rank, &d, q))?;
+pub fn run_cannon(d: MatmulDims, q: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
+    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
+    let report = Machine::try_run::<f64, _, _>(q * q, cfg, |rank| {
+        cannon_rank_body::<f64>(rank, &d, q, kernel, mode)
+    })?;
     let verified = verify_blocks(&d, q, q, &report.results);
     Ok(MmReport {
         dims: d,
@@ -223,7 +209,7 @@ mod tests {
     fn cannon_square_divisible() {
         let d = MatmulDims::new(24, 24, 24);
         for q in [1usize, 2, 3, 4] {
-            let r = run_cannon(d, q, MachineConfig::default());
+            let r = run_cannon(d, q, MachineConfig::default()).expect("cannon run");
             assert!(r.verified, "q={q}");
             assert_eq!(
                 r.stats.total_elems() as u128,
@@ -236,7 +222,7 @@ mod tests {
     #[test]
     fn cannon_uneven_blocks() {
         let d = MatmulDims::new(7, 11, 13);
-        let r = run_cannon(d, 3, MachineConfig::default());
+        let r = run_cannon(d, 3, MachineConfig::default()).expect("cannon run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
     }
@@ -247,8 +233,8 @@ mod tests {
         // Cannon sends O(q) messages per rank vs SUMMA's broadcast
         // trees.
         let d = MatmulDims::square(32);
-        let rc = run_cannon(d, 4, MachineConfig::default());
-        let rs = run_summa(d, 4, 4, MachineConfig::default());
+        let rc = run_cannon(d, 4, MachineConfig::default()).expect("cannon run");
+        let rs = run_summa(d, 4, 4, MachineConfig::default()).expect("summa run");
         assert!(rc.verified && rs.verified);
         // Volumes are the same order; message counts differ structurally.
         assert!(rc.stats.total_msgs() < rs.stats.total_msgs() * 2);
@@ -272,8 +258,8 @@ mod tests {
             ..MachineConfig::default()
         };
         let d = MatmulDims::square(32);
-        let rc = run_cannon(d, 4, cfg);
-        let rs = run_summa(d, 4, 4, cfg);
+        let rc = run_cannon(d, 4, cfg).expect("cannon run");
+        let rs = run_summa(d, 4, 4, cfg).expect("summa run");
         assert!(rc.verified && rs.verified);
         assert!(rc.makespan > 0.0 && rs.makespan > 0.0);
         // Cannon: ≥ skew + (q−1) serialized shifts ≈ 5+ hops of α.
@@ -287,7 +273,7 @@ mod tests {
     #[test]
     fn cannon_rectangular() {
         let d = MatmulDims::new(16, 8, 32);
-        let r = run_cannon(d, 2, MachineConfig::default());
+        let r = run_cannon(d, 2, MachineConfig::default()).expect("cannon run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
     }

@@ -22,18 +22,8 @@ use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
 
-/// Per-rank 3D-algorithm body with the comm mode resolved from the
-/// environment (`DISTCONV_COMM`). Returns this rank's reduced `C`
-/// block on the `l = 0` face (empty matrix elsewhere).
-pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
-    rank: &Rank<T>,
-    d: &MatmulDims,
-    p1: usize,
-) -> Matrix<T> {
-    dns3d_rank_body_mode(rank, d, p1, CommMode::from_env())
-}
-
-/// [`dns3d_rank_body`] with an explicit [`CommMode`].
+/// Per-rank 3D-algorithm body: returns this rank's reduced `C` block
+/// on the `l = 0` face (empty matrix elsewhere).
 ///
 /// The 3D algorithm has a single compute step, so there is no multi-step
 /// pipeline to double-buffer; in [`CommMode::Overlapped`] the `A` and
@@ -41,10 +31,11 @@ pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
 /// immediately) instead of completing the `A` broadcast before the `B`
 /// broadcast starts. Payloads, trees, and the one local product are
 /// identical, so results are bitwise equal and counters unchanged.
-pub fn dns3d_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
+pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     p1: usize,
+    kernel: LocalKernel,
     mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), p1 * p1 * p1, "grid size mismatch");
@@ -114,7 +105,7 @@ pub fn dns3d_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
     let b_m = Matrix::from_vec(kl_hi - kl_lo, nj_hi - nj_lo, b_buf);
     let mut c_part = Matrix::<T>::zeros(mi_hi - mi_lo, nj_hi - nj_lo);
     let _lc = rank.mem().lease_or_panic(c_part.len() as u64);
-    rank.time_compute(|| local_matmul(LocalKernel::from_env(), &mut c_part, &a_m, &b_m));
+    rank.time_compute(|| local_matmul(kernel, &mut c_part, &a_m, &b_m));
 
     // Reduce partials over l to the l = 0 face. The broadcast phase is
     // stamped step 0 (the default) in both modes; the reduction is its
@@ -135,15 +126,10 @@ pub fn dns3d_analytic_volume(d: &MatmulDims, p1: usize) -> u128 {
 }
 
 /// Drive a 3D run on `p₁³` ranks; verify the `l = 0` face blocks.
-pub fn run_dns3d(d: MatmulDims, p1: usize, cfg: MachineConfig) -> MmReport {
-    try_run_dns3d(d, p1, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_dns3d`]: surfaces rank failures as a [`RunError`]
-/// instead of panicking.
-pub fn try_run_dns3d(d: MatmulDims, p1: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
+pub fn run_dns3d(d: MatmulDims, p1: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
+    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
     let report = Machine::try_run::<f64, _, _>(p1 * p1 * p1, cfg, |rank| {
-        dns3d_rank_body::<f64>(rank, &d, p1)
+        dns3d_rank_body::<f64>(rank, &d, p1, kernel, mode)
     })?;
     // Collect the l = 0 face in (i, j) row-major order for verification.
     let grid = CartGrid::new(vec![p1, p1, p1]);
@@ -175,7 +161,7 @@ mod tests {
     #[test]
     fn dns3d_exact_volume_and_result() {
         let d = MatmulDims::new(24, 18, 30);
-        let r = run_dns3d(d, 2, MachineConfig::default());
+        let r = run_dns3d(d, 2, MachineConfig::default()).expect("dns3d run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
         assert_eq!(r.analytic_volume, (24 * 30 + 30 * 18 + 24 * 18) as u128);
@@ -184,7 +170,7 @@ mod tests {
     #[test]
     fn dns3d_p1_equals_local() {
         let d = MatmulDims::square(12);
-        let r = run_dns3d(d, 1, MachineConfig::default());
+        let r = run_dns3d(d, 1, MachineConfig::default()).expect("dns3d run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems(), 0);
     }
@@ -202,8 +188,9 @@ mod tests {
             "3D volume {v3d} should undercut 2D volume {v2d} at P=64"
         );
         // And measured agrees for a small instance.
-        let r3 = run_dns3d(MatmulDims::square(16), 2, MachineConfig::default());
-        let r2 = run_summa(MatmulDims::square(16), 2, 4, MachineConfig::default());
+        let r3 = run_dns3d(MatmulDims::square(16), 2, MachineConfig::default()).expect("dns3d run");
+        let r2 =
+            run_summa(MatmulDims::square(16), 2, 4, MachineConfig::default()).expect("summa run");
         assert!(r3.verified && r2.verified);
         assert!(r3.stats.total_elems() < r2.stats.total_elems());
     }
@@ -211,7 +198,7 @@ mod tests {
     #[test]
     fn dns3d_uneven_blocks() {
         let d = MatmulDims::new(7, 11, 13); // nothing divides
-        let r = run_dns3d(d, 2, MachineConfig::default());
+        let r = run_dns3d(d, 2, MachineConfig::default()).expect("dns3d run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
     }

@@ -28,6 +28,11 @@
 //! standard assumption in the matmul literature, which counts the
 //! multiply-phase traffic; the CNN side's `cost_I` is charged
 //! separately, as the paper does).
+//!
+//! Each `run_x` driver resolves the local kernel and comm mode from the
+//! environment once, on the calling thread, and passes them to every
+//! rank body; rank failures (injected crashes, deadlocks, OOM) come
+//! back as a `RunError`.
 
 #![warn(missing_docs)]
 
@@ -38,9 +43,9 @@ pub mod local;
 pub mod s25d;
 pub mod summa;
 
-pub use cannon::{cannon_rank_body, cannon_rank_body_mode, run_cannon, try_run_cannon};
+pub use cannon::{cannon_rank_body, run_cannon};
 pub use common::{MatmulDims, MmReport};
-pub use dns3d::{dns3d_rank_body, dns3d_rank_body_mode, run_dns3d, try_run_dns3d};
+pub use dns3d::{dns3d_rank_body, run_dns3d};
 pub use local::{local_matmul, matmul_blocked, matmul_blocked_par, matmul_blocked_ref};
-pub use s25d::{run_25d, s25d_rank_body, s25d_rank_body_mode, try_run_25d};
-pub use summa::{run_summa, summa_rank_body, summa_rank_body_mode, try_run_summa};
+pub use s25d::{run_25d, s25d_rank_body};
+pub use summa::{run_summa, summa_rank_body};

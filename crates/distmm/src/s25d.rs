@@ -53,31 +53,21 @@ fn slab_panels(s_lo: usize, s_hi: usize, k: usize, p1: usize) -> Vec<usize> {
     cuts
 }
 
-/// Per-rank 2.5D body with the comm mode resolved from the environment
-/// (`DISTCONV_COMM`). Returns this rank's reduced `C` block on layer 0
+/// Per-rank 2.5D body: returns this rank's reduced `C` block on layer 0
 /// (empty matrix on other layers).
+///
+/// In [`CommMode::Overlapped`], the per-layer SUMMA panel loop is
+/// double-buffered exactly as in
+/// [`summa_rank_body`](crate::summa::summa_rank_body): the
+/// broadcasts for panel `t+1` are posted before panel `t` is waited
+/// for and multiplied. The slab redistribution (layer 0's eager
+/// point-to-point sends) and the final reduction are unchanged.
 pub fn s25d_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     p1: usize,
     c: usize,
-) -> Matrix<T> {
-    s25d_rank_body_mode(rank, d, p1, c, CommMode::from_env())
-}
-
-/// [`s25d_rank_body`] with an explicit [`CommMode`].
-///
-/// In [`CommMode::Overlapped`], the per-layer SUMMA panel loop is
-/// double-buffered exactly as in
-/// [`summa_rank_body_mode`](crate::summa::summa_rank_body_mode): the
-/// broadcasts for panel `t+1` are posted before panel `t` is waited
-/// for and multiplied. The slab redistribution (layer 0's eager
-/// point-to-point sends) and the final reduction are unchanged.
-pub fn s25d_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
-    rank: &Rank<T>,
-    d: &MatmulDims,
-    p1: usize,
-    c: usize,
+    kernel: LocalKernel,
     mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), c * p1 * p1, "grid size mismatch");
@@ -163,7 +153,6 @@ pub fn s25d_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
     // --- Step 2: SUMMA panel steps over my slab. ---
     let mut c_block = Matrix::<T>::zeros(mi_hi - mi_lo, nj_hi - nj_lo);
     let _lc = rank.mem().lease_or_panic(c_block.len() as u64);
-    let kernel = LocalKernel::from_env();
     let cuts = slab_panels(s_lo, s_hi, d.k, p1);
     let panels: Vec<(usize, usize)> = cuts
         .windows(2)
@@ -265,20 +254,15 @@ pub fn s25d_analytic_volume(d: &MatmulDims, p1: usize, c: usize) -> u128 {
 }
 
 /// Drive a 2.5D run on `c·p₁²` ranks; verify layer-0 blocks.
-pub fn run_25d(d: MatmulDims, p1: usize, c: usize, cfg: MachineConfig) -> MmReport {
-    try_run_25d(d, p1, c, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_25d`]: surfaces rank failures as a [`RunError`]
-/// instead of panicking.
-pub fn try_run_25d(
+pub fn run_25d(
     d: MatmulDims,
     p1: usize,
     c: usize,
     cfg: MachineConfig,
 ) -> Result<MmReport, RunError> {
+    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
     let report = Machine::try_run::<f64, _, _>(c * p1 * p1, cfg, |rank| {
-        s25d_rank_body::<f64>(rank, &d, p1, c)
+        s25d_rank_body::<f64>(rank, &d, p1, c, kernel, mode)
     })?;
     let grid = CartGrid::new(vec![c, p1, p1]);
     let mut face = Vec::with_capacity(p1 * p1);
@@ -309,7 +293,7 @@ mod tests {
     #[test]
     fn s25d_exact_volume_and_result() {
         let d = MatmulDims::new(24, 16, 32);
-        let r = run_25d(d, 2, 2, MachineConfig::default());
+        let r = run_25d(d, 2, 2, MachineConfig::default()).expect("25d run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
     }
@@ -317,8 +301,8 @@ mod tests {
     #[test]
     fn c_equals_one_degenerates_to_summa() {
         let d = MatmulDims::square(20);
-        let r25 = run_25d(d, 2, 1, MachineConfig::default());
-        let r2 = run_summa(d, 2, 2, MachineConfig::default());
+        let r25 = run_25d(d, 2, 1, MachineConfig::default()).expect("25d run");
+        let r2 = run_summa(d, 2, 2, MachineConfig::default()).expect("summa run");
         assert!(r25.verified && r2.verified);
         assert_eq!(r25.stats.total_elems(), r2.stats.total_elems());
         assert_eq!(
@@ -335,7 +319,7 @@ mod tests {
         let v2d = summa_analytic_volume(&d, 4, 4);
         let v25 = s25d_analytic_volume(&d, 2, 4);
         assert!(v25 < v2d, "2.5D {v25} should undercut 2D {v2d}");
-        let r = run_25d(d, 2, 4, MachineConfig::default());
+        let r = run_25d(d, 2, 4, MachineConfig::default()).expect("25d run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, v25);
     }
@@ -352,7 +336,7 @@ mod tests {
     #[test]
     fn uneven_panels_verified() {
         let d = MatmulDims::new(9, 10, 11);
-        let r = run_25d(d, 2, 3, MachineConfig::default());
+        let r = run_25d(d, 2, 3, MachineConfig::default()).expect("25d run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
     }
@@ -363,8 +347,8 @@ mod tests {
         // c = 4 (P = 16) exceeds the 2D (P = 16) peak for the same
         // problem, because every layer holds a full C block.
         let d = MatmulDims::new(64, 64, 64);
-        let r2 = run_summa(d, 4, 4, MachineConfig::default());
-        let r25 = run_25d(d, 2, 4, MachineConfig::default());
+        let r2 = run_summa(d, 4, 4, MachineConfig::default()).expect("summa run");
+        let r25 = run_25d(d, 2, 4, MachineConfig::default()).expect("25d run");
         assert!(r25.verified);
         assert!(
             r25.max_peak_mem > r2.max_peak_mem,

@@ -35,20 +35,9 @@ pub(crate) fn panel_bounds(k: usize, pr: usize, pc: usize) -> Vec<usize> {
     cuts
 }
 
-/// Per-rank SUMMA body with the comm mode resolved from the
-/// environment (`DISTCONV_COMM`): returns this rank's `C` block.
+/// Per-rank SUMMA body: returns this rank's `C` block.
 ///
 /// `rank.id()` is interpreted row-major on the `pr × pc` grid.
-pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
-    rank: &Rank<T>,
-    d: &MatmulDims,
-    pr: usize,
-    pc: usize,
-) -> Matrix<T> {
-    summa_rank_body_mode(rank, d, pr, pc, CommMode::from_env())
-}
-
-/// [`summa_rank_body`] with an explicit [`CommMode`].
 ///
 /// In [`CommMode::Overlapped`], the panel loop is double-buffered: the
 /// two broadcasts for panel `t+1` are *posted* (root sends go out
@@ -56,11 +45,12 @@ pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
 /// order, broadcast trees, payloads, and the accumulation order into
 /// `C` are identical to the blocking path, so results are bitwise
 /// equal and the traffic counters unchanged.
-pub fn summa_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
+pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     pr: usize,
     pc: usize,
+    kernel: LocalKernel,
     mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), pr * pc, "grid size mismatch");
@@ -89,7 +79,6 @@ pub fn summa_rank_body_mode<T: Scalar + distconv_simnet::Msg>(
         .mem()
         .lease_or_panic((a_block.len() + b_block.len() + c_block.len()) as u64);
 
-    let kernel = LocalKernel::from_env();
     let cuts = panel_bounds(d.k, pr, pc);
     let panels: Vec<(usize, usize)> = cuts
         .windows(2)
@@ -184,20 +173,15 @@ pub fn summa_analytic_volume(d: &MatmulDims, pr: usize, pc: usize) -> u128 {
 
 /// Drive a full SUMMA run: execute, verify every block against the
 /// sequential reference, report measured vs analytic volumes.
-pub fn run_summa(d: MatmulDims, pr: usize, pc: usize, cfg: MachineConfig) -> MmReport {
-    try_run_summa(d, pr, pc, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_summa`]: surfaces rank failures (injected crashes,
-/// deadlocks, OOM) as a [`RunError`] instead of panicking.
-pub fn try_run_summa(
+pub fn run_summa(
     d: MatmulDims,
     pr: usize,
     pc: usize,
     cfg: MachineConfig,
 ) -> Result<MmReport, RunError> {
+    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
     let report = Machine::try_run::<f64, _, _>(pr * pc, cfg, |rank| {
-        summa_rank_body::<f64>(rank, &d, pr, pc)
+        summa_rank_body::<f64>(rank, &d, pr, pc, kernel, mode)
     })?;
     let verified = verify_blocks(&d, pr, pc, &report.results);
     Ok(MmReport {
@@ -248,7 +232,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_run_surfaces_injected_crash() {
+    fn run_surfaces_injected_crash() {
         use distconv_simnet::{FailureKind, FaultPlan};
         let d = MatmulDims::new(16, 16, 16);
         let cfg = MachineConfig {
@@ -256,7 +240,7 @@ mod tests {
             faults: FaultPlan::default().with_crash(0, 1),
             ..MachineConfig::default()
         };
-        let err = try_run_summa(d, 2, 2, cfg).expect_err("crash must fail the run");
+        let err = run_summa(d, 2, 2, cfg).expect_err("crash must fail the run");
         assert!(err.has_injected_crash());
         assert!(err
             .failures
@@ -267,7 +251,7 @@ mod tests {
     #[test]
     fn summa_square_grid_exact_volume() {
         let d = MatmulDims::new(32, 24, 40);
-        let r = run_summa(d, 2, 2, MachineConfig::default());
+        let r = run_summa(d, 2, 2, MachineConfig::default()).expect("summa run");
         assert!(r.verified, "result mismatch");
         assert_eq!(r.stats.total_elems() as u128, r.analytic_volume);
         assert_eq!(r.analytic_volume, (32 * 40 + 40 * 24) as u128);
@@ -277,7 +261,7 @@ mod tests {
     fn summa_rectangular_grids() {
         let d = MatmulDims::new(30, 20, 25); // non-divisible everywhere
         for (pr, pc) in [(1usize, 4usize), (4, 1), (2, 3), (3, 2)] {
-            let r = run_summa(d, pr, pc, MachineConfig::default());
+            let r = run_summa(d, pr, pc, MachineConfig::default()).expect("summa run");
             assert!(r.verified, "grid {pr}x{pc}");
             assert_eq!(
                 r.stats.total_elems() as u128,
@@ -290,7 +274,7 @@ mod tests {
     #[test]
     fn summa_single_rank_no_traffic() {
         let d = MatmulDims::square(16);
-        let r = run_summa(d, 1, 1, MachineConfig::default());
+        let r = run_summa(d, 1, 1, MachineConfig::default()).expect("summa run");
         assert!(r.verified);
         assert_eq!(r.stats.total_elems(), 0);
     }
@@ -300,9 +284,11 @@ mod tests {
         // Doubling pc roughly doubles the A broadcast term.
         let d = MatmulDims::square(32);
         let v2 = run_summa(d, 2, 2, MachineConfig::default())
+            .expect("summa run")
             .stats
             .total_elems();
         let v4 = run_summa(d, 2, 4, MachineConfig::default())
+            .expect("summa run")
             .stats
             .total_elems();
         assert!(v4 > v2, "wider grid must move more A data: {v4} vs {v2}");
@@ -311,7 +297,7 @@ mod tests {
     #[test]
     fn conformance_cross_checks_trace_against_counters() {
         let d = MatmulDims::new(30, 20, 25);
-        let r = run_summa(d, 2, 3, MachineConfig::default());
+        let r = run_summa(d, 2, 3, MachineConfig::default()).expect("summa run");
         let rep = r.conformance("summa");
         assert!(rep.pass(), "conformance failed:\n{rep}");
         // One total-volume row plus one cross-check row per rank.
@@ -322,7 +308,7 @@ mod tests {
     #[test]
     fn conformance_names_a_regressed_row() {
         let d = MatmulDims::square(16);
-        let mut r = run_summa(d, 2, 2, MachineConfig::default());
+        let mut r = run_summa(d, 2, 2, MachineConfig::default()).expect("summa run");
         r.analytic_volume += 1; // simulate a volume regression
         let rep = r.conformance("summa");
         assert!(!rep.pass());

@@ -4,23 +4,23 @@
 //! moves, where, and in which per-link order does not.
 
 use distconv_distmm::{
-    cannon_rank_body_mode, dns3d_rank_body_mode, s25d_rank_body_mode, summa_rank_body_mode,
-    MatmulDims,
+    cannon_rank_body, dns3d_rank_body, s25d_rank_body, summa_rank_body, MatmulDims,
 };
-use distconv_par::CommMode;
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{LinkDelay, Machine, MachineConfig, Rank, RunReport};
 use distconv_tensor::Matrix;
 use std::time::Duration;
 
 fn run_both<F>(p: usize, body: F) -> (RunReport<Matrix<f64>>, RunReport<Matrix<f64>>)
 where
-    F: Fn(&Rank<f64>, CommMode) -> Matrix<f64> + Send + Sync + Copy,
+    F: Fn(&Rank<f64>, LocalKernel, CommMode) -> Matrix<f64> + Send + Sync + Copy,
 {
+    let kernel = LocalKernel::from_env();
     let blocking = Machine::run::<f64, _, _>(p, MachineConfig::default(), move |rank| {
-        body(rank, CommMode::Blocking)
+        body(rank, kernel, CommMode::Blocking)
     });
     let overlapped = Machine::run::<f64, _, _>(p, MachineConfig::default(), move |rank| {
-        body(rank, CommMode::Overlapped)
+        body(rank, kernel, CommMode::Overlapped)
     });
     (blocking, overlapped)
 }
@@ -55,8 +55,8 @@ fn cannon_modes_identical() {
         (MatmulDims::new(24, 24, 24), 2usize),
         (MatmulDims::new(7, 11, 13), 3),
     ] {
-        let (b, o) = run_both(q * q, move |rank, mode| {
-            cannon_rank_body_mode(rank, &d, q, mode)
+        let (b, o) = run_both(q * q, move |rank, kernel, mode| {
+            cannon_rank_body(rank, &d, q, kernel, mode)
         });
         assert_identical(&b, &o);
     }
@@ -69,8 +69,8 @@ fn summa_modes_identical() {
         (MatmulDims::new(30, 20, 25), 2, 3),
         (MatmulDims::new(30, 20, 25), 3, 2),
     ] {
-        let (b, o) = run_both(pr * pc, move |rank, mode| {
-            summa_rank_body_mode(rank, &d, pr, pc, mode)
+        let (b, o) = run_both(pr * pc, move |rank, kernel, mode| {
+            summa_rank_body(rank, &d, pr, pc, kernel, mode)
         });
         assert_identical(&b, &o);
     }
@@ -82,8 +82,8 @@ fn s25d_modes_identical() {
         (MatmulDims::new(24, 16, 32), 2usize, 2usize),
         (MatmulDims::new(9, 10, 11), 2, 3),
     ] {
-        let (b, o) = run_both(c * p1 * p1, move |rank, mode| {
-            s25d_rank_body_mode(rank, &d, p1, c, mode)
+        let (b, o) = run_both(c * p1 * p1, move |rank, kernel, mode| {
+            s25d_rank_body(rank, &d, p1, c, kernel, mode)
         });
         assert_identical(&b, &o);
     }
@@ -95,8 +95,8 @@ fn dns3d_modes_identical() {
         (MatmulDims::new(24, 18, 30), 2usize),
         (MatmulDims::new(7, 11, 13), 2),
     ] {
-        let (b, o) = run_both(p1 * p1 * p1, move |rank, mode| {
-            dns3d_rank_body_mode(rank, &d, p1, mode)
+        let (b, o) = run_both(p1 * p1 * p1, move |rank, kernel, mode| {
+            dns3d_rank_body(rank, &d, p1, kernel, mode)
         });
         assert_identical(&b, &o);
     }
@@ -104,6 +104,7 @@ fn dns3d_modes_identical() {
 
 #[test]
 fn modes_identical_under_emulated_link_delay() {
+    let kernel = LocalKernel::from_env();
     // The wall-clock link emulation (bench_comm's network model) moves
     // *when* payloads become available, never what they contain — both
     // modes must stay bitwise identical with equal counters under it.
@@ -113,7 +114,9 @@ fn modes_identical_under_emulated_link_delay() {
     };
     let d = MatmulDims::new(16, 12, 20);
     let run = |mode: CommMode| {
-        Machine::run::<f64, _, _>(4, cfg, move |rank| cannon_rank_body_mode(rank, &d, 2, mode))
+        Machine::run::<f64, _, _>(4, cfg, move |rank| {
+            cannon_rank_body(rank, &d, 2, kernel, mode)
+        })
     };
     let (b, o) = (run(CommMode::Blocking), run(CommMode::Overlapped));
     assert_identical(&b, &o);
@@ -121,12 +124,13 @@ fn modes_identical_under_emulated_link_delay() {
 
 #[test]
 fn overlapped_pipeline_records_timing_breakdown() {
+    let kernel = LocalKernel::from_env();
     // The point of the pipeline: the report's timing breakdown has both
     // a comm-wait and a compute component (host wall time, not part of
     // the deterministic counters).
     let d = MatmulDims::new(48, 48, 48);
     let report = Machine::run::<f64, _, _>(4, MachineConfig::default(), move |rank| {
-        summa_rank_body_mode(rank, &d, 2, 2, CommMode::Overlapped)
+        summa_rank_body(rank, &d, 2, 2, kernel, CommMode::Overlapped)
     });
     let t = report.timing;
     assert!(t.compute_ns > 0, "compute time should be recorded");

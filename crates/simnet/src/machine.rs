@@ -593,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_aggregates_and_classifies() {
+    fn failed_run_aggregates_and_classifies() {
         let cfg = MachineConfig {
             recv_timeout: Duration::from_millis(100),
             faults: FaultPlan::default().with_crash(1, 1),
@@ -620,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_ok_on_clean_run() {
+    fn clean_run_is_ok() {
         let r = Machine::try_run::<f32, _, _>(2, MachineConfig::default(), |rank| rank.id())
             .expect("clean run");
         assert_eq!(r.results, vec![0, 1]);

@@ -10,11 +10,10 @@
 
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_distmm::{
-    cannon_rank_body_mode, dns3d_rank_body_mode, s25d_rank_body_mode, summa_rank_body_mode,
-    MatmulDims,
+    cannon_rank_body, dns3d_rank_body, s25d_rank_body, summa_rank_body, MatmulDims,
 };
 use distconv_par::proptest_mini::{check, Config, Gen};
-use distconv_par::CommMode;
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{FaultPlan, Machine, MachineConfig, Rank, RunReport};
 use distconv_tensor::Matrix;
 
@@ -45,14 +44,15 @@ fn gen_plan(g: &mut Gen) -> FaultPlan {
 /// identical and the algorithmic (non-fault) counters exactly equal.
 fn assert_modes_agree<F>(p: usize, plan: FaultPlan, body: F)
 where
-    F: Fn(&Rank<f64>, CommMode) -> Matrix<f64> + Send + Sync + Copy,
+    F: Fn(&Rank<f64>, LocalKernel, CommMode) -> Matrix<f64> + Send + Sync + Copy,
 {
     let cfg = MachineConfig {
         faults: plan,
         ..MachineConfig::default()
     };
+    let kernel = LocalKernel::from_env();
     let run = |mode: CommMode| -> RunReport<Matrix<f64>> {
-        Machine::run::<f64, _, _>(p, cfg, move |rank| body(rank, mode))
+        Machine::run::<f64, _, _>(p, cfg, move |rank| body(rank, kernel, mode))
     };
     let blocking = run(CommMode::Blocking);
     let overlapped = run(CommMode::Overlapped);
@@ -90,8 +90,8 @@ fn cannon_overlap_equivalent() {
             let q = g.usize_in(1, 3);
             let d = MatmulDims::new(g.usize_in(1, 16), g.usize_in(1, 16), g.usize_in(1, 16));
             let plan = gen_plan(g);
-            assert_modes_agree(q * q, plan, move |rank, mode| {
-                cannon_rank_body_mode(rank, &d, q, mode)
+            assert_modes_agree(q * q, plan, move |rank, kernel, mode| {
+                cannon_rank_body(rank, &d, q, kernel, mode)
             });
         },
     );
@@ -104,8 +104,8 @@ fn summa_overlap_equivalent() {
         let pc = g.usize_in(1, 3);
         let d = MatmulDims::new(g.usize_in(1, 16), g.usize_in(1, 16), g.usize_in(1, 16));
         let plan = gen_plan(g);
-        assert_modes_agree(pr * pc, plan, move |rank, mode| {
-            summa_rank_body_mode(rank, &d, pr, pc, mode)
+        assert_modes_agree(pr * pc, plan, move |rank, kernel, mode| {
+            summa_rank_body(rank, &d, pr, pc, kernel, mode)
         });
     });
 }
@@ -117,8 +117,8 @@ fn s25d_overlap_equivalent() {
         let c = g.usize_in(1, 3);
         let d = MatmulDims::new(g.usize_in(1, 12), g.usize_in(2, 12), g.usize_in(1, 12));
         let plan = gen_plan(g);
-        assert_modes_agree(c * p1 * p1, plan, move |rank, mode| {
-            s25d_rank_body_mode(rank, &d, p1, c, mode)
+        assert_modes_agree(c * p1 * p1, plan, move |rank, kernel, mode| {
+            s25d_rank_body(rank, &d, p1, c, kernel, mode)
         });
     });
 }
@@ -129,8 +129,8 @@ fn dns3d_overlap_equivalent() {
         let p1 = g.usize_in(1, 2);
         let d = MatmulDims::new(g.usize_in(1, 12), g.usize_in(1, 12), g.usize_in(1, 12));
         let plan = gen_plan(g);
-        assert_modes_agree(p1 * p1 * p1, plan, move |rank, mode| {
-            dns3d_rank_body_mode(rank, &d, p1, mode)
+        assert_modes_agree(p1 * p1 * p1, plan, move |rank, kernel, mode| {
+            dns3d_rank_body(rank, &d, p1, kernel, mode)
         });
     });
 }
@@ -152,7 +152,7 @@ fn gen_cnn_plan(g: &mut Gen) -> Option<(distconv_cost::DistPlan, u64)> {
 
 #[test]
 fn gvm_executor_overlap_equivalent() {
-    use distconv_core::DistConv;
+    use distconv_core::{execute, RunOptions};
     check(
         "gvm_executor_overlap_equivalent",
         Config::with_cases(CASES),
@@ -165,26 +165,23 @@ fn gvm_executor_overlap_equivalent() {
                 faults: fault_plan,
                 ..MachineConfig::default()
             };
-            let run = |mode: CommMode| {
-                DistConv::<f64>::new(plan)
-                    .with_config(cfg)
-                    .with_comm_mode(mode)
-                    .run_with_outputs(seed)
-                    .expect("run failed")
+            let plan = plan.into();
+            let run = |comm: CommMode| {
+                let opts = RunOptions {
+                    verify: false,
+                    comm,
+                };
+                execute::<f64>(&plan, seed, cfg, opts).expect("run failed")
             };
-            let (br, bo) = run(CommMode::Blocking);
-            let (or, oo) = run(CommMode::Overlapped);
-            for (rank, (b, o)) in bo.iter().zip(oo.iter()).enumerate() {
-                match (&b.slice, &o.slice) {
-                    (None, None) => {}
-                    (Some(bs), Some(os)) => {
-                        let bb: Vec<u64> = bs.as_slice().iter().map(|x| x.to_bits()).collect();
-                        let ob: Vec<u64> = os.as_slice().iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(bb, ob, "rank {rank} Out slice bitwise mismatch");
-                    }
-                    _ => panic!("rank {rank}: output presence differs between modes"),
-                }
+            let (b, o) = (run(CommMode::Blocking), run(CommMode::Overlapped));
+            assert_eq!(b.outputs.len(), o.outputs.len(), "output ranks differ");
+            for ((bc, bo, bs), (oc, oo, os)) in b.outputs.iter().zip(&o.outputs) {
+                assert_eq!((bc, bo), (oc, oo), "output placement differs between modes");
+                let bb: Vec<u64> = bs.as_slice().iter().map(|x| x.to_bits()).collect();
+                let ob: Vec<u64> = os.as_slice().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(bb, ob, "rank {bc:?} Out slice bitwise mismatch");
             }
+            let (br, or) = (&b.report, &o.report);
             assert_eq!(
                 br.stats.per_rank_msgs, or.stats.per_rank_msgs,
                 "per-rank message counts must match"
@@ -199,7 +196,7 @@ fn gvm_executor_overlap_equivalent() {
 
 #[test]
 fn gvm_executor_overlap_equivalent_under_crash_recovery() {
-    use distconv_core::DistConv;
+    use distconv_core::{execute, recover, NetworkPlan, RunOptions};
     check(
         "gvm_executor_overlap_equivalent_under_crash_recovery",
         Config::with_cases(10),
@@ -220,12 +217,19 @@ fn gvm_executor_overlap_equivalent_under_crash_recovery() {
                 recv_timeout: std::time::Duration::from_millis(500),
                 ..MachineConfig::default()
             };
-            let run = |mode: CommMode| {
-                DistConv::<f64>::new(plan)
-                    .with_config(cfg)
-                    .with_comm_mode(mode)
-                    .run_recovering(seed)
-                    .expect("recovery failed")
+            let net = NetworkPlan::from(plan);
+            let machine = |p| MachineSpec::new(p, plan.machine.mem);
+            let run = |comm: CommMode| {
+                let opts = RunOptions { verify: true, comm };
+                recover(
+                    &net,
+                    cfg,
+                    |n, c| execute::<f64>(n, seed, c, opts),
+                    |p| NetworkPlan::plan(&[plan.problem], machine(p)).ok(),
+                )
+                .expect("recovery failed")
+                .value
+                .report
             };
             let blocking = run(CommMode::Blocking);
             let overlapped = run(CommMode::Overlapped);

@@ -8,12 +8,12 @@
 //! cargo run --release --example matmul_analogy
 //! ```
 
-use distconv::core::DistConv;
+use distconv::core::{execute, RunOptions};
 use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv::distmm::{run_25d, run_dns3d, run_summa, MatmulDims};
 use distconv::simnet::MachineConfig;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1×1 conv: bhw = 4·8·8 = 256 rows, c = 32 inner, k = 32 cols.
     let p = Conv2dProblem::new(4, 32, 32, 8, 8, 1, 1, 1, 1);
     let dims = MatmulDims::new(p.nbhw(), p.nk, p.nc);
@@ -38,13 +38,13 @@ fn main() {
         }
         match planner.plan() {
             Ok(plan) => {
-                let r = DistConv::<f64>::new(plan).run_verified(3).expect("ok");
+                let r = execute::<f64>(&plan.into(), 3, cfg, RunOptions::default())?.report;
                 let g = plan.grid;
                 println!(
                     "{:<44} {:>6} {:>12} {:>9}   grid {}x{}x{}x{}x{}",
                     label,
                     16,
-                    r.measured_volume(),
+                    r.measured_total(),
                     r.verified,
                     g.pb,
                     g.pk,
@@ -57,7 +57,7 @@ fn main() {
         }
     }
 
-    let s = run_summa(dims, 4, 4, cfg);
+    let s = run_summa(dims, 4, 4, cfg)?;
     println!(
         "{:<44} {:>6} {:>12} {:>9}   grid 4x4",
         "SUMMA-2D",
@@ -65,7 +65,7 @@ fn main() {
         s.stats.total_elems(),
         s.verified
     );
-    let s25 = run_25d(dims, 2, 4, cfg);
+    let s25 = run_25d(dims, 2, 4, cfg)?;
     println!(
         "{:<44} {:>6} {:>12} {:>9}   grid 4 layers of 2x2",
         "2.5D (c=4)",
@@ -73,7 +73,7 @@ fn main() {
         s25.stats.total_elems(),
         s25.verified
     );
-    let s3 = run_dns3d(dims, 2, cfg);
+    let s3 = run_dns3d(dims, 2, cfg)?;
     println!(
         "{:<44} {:>6} {:>12} {:>9}   grid 2x2x2",
         "3D (DNS)",
@@ -87,4 +87,5 @@ fn main() {
          and Pc plays the replication depth; volumes land in the same band, and the\n\
          regime selected by the planner tracks the matmul family the paper names."
     );
+    Ok(())
 }

@@ -8,10 +8,12 @@
 //! cargo run --release --example memory_tradeoff
 //! ```
 
-use distconv::core::DistConv;
+use distconv::core::{execute, RunOptions};
 use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
+use distconv::simnet::MachineConfig;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let cfg = MachineConfig::default();
     // Channel-heavy layer at P = 16 so replication along c pays off.
     let p = Conv2dProblem::new(4, 32, 32, 8, 8, 3, 3, 1, 1);
     let procs = 16;
@@ -24,9 +26,7 @@ fn main() {
         let mem = 1usize << shift;
         match Planner::new(p, MachineSpec::new(procs, mem)).plan() {
             Ok(plan) => {
-                let r = DistConv::<f32>::new(plan)
-                    .run_verified(7)
-                    .expect("verified");
+                let r = execute::<f32>(&plan.into(), 7, cfg, RunOptions::default())?.report;
                 let g = plan.grid;
                 println!(
                     "{:>8} {:>14} {:>4} {:>8} {:>12.0} {:>12} {:>10}",
@@ -35,8 +35,8 @@ fn main() {
                     g.pc,
                     plan.regime.name(),
                     plan.predicted.cost_d,
-                    r.measured_volume(),
-                    r.max_peak_mem(),
+                    r.measured_total(),
+                    r.max_peak_mem,
                 );
             }
             Err(e) => println!("{:>8} infeasible: {e}", format!("2^{shift}")),
@@ -47,4 +47,5 @@ fn main() {
          trading memory for lower broadcast volume, exactly as 2.5D/3D matmul\n\
          trades replicated C copies for narrower panel broadcasts."
     );
+    Ok(())
 }

@@ -7,10 +7,12 @@
 //! cargo run --release --example pareto_frontier [procs]
 //! ```
 
-use distconv::core::DistConv;
+use distconv::core::{execute, RunOptions};
 use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
+use distconv::simnet::MachineConfig;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let cfg = MachineConfig::default();
     let procs: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -31,9 +33,7 @@ fn main() {
     );
     for plan in &frontier {
         let g = plan.grid;
-        let r = DistConv::<f32>::new(*plan)
-            .run_verified(3)
-            .expect("verified");
+        let r = execute::<f32>(&(*plan).into(), 3, cfg, RunOptions::default())?.report;
         println!(
             "{:>18} {:>4} {:>8} {:>12.0} {:>12.0} {:>12} {:>9}",
             format!("{}x{}x{}x{}x{}", g.pb, g.pk, g.pc, g.ph, g.pw),
@@ -41,7 +41,7 @@ fn main() {
             plan.regime.name(),
             plan.predicted.footprint_gd,
             plan.predicted.cost_d,
-            r.measured_volume(),
+            r.measured_total(),
             r.verified,
         );
     }
@@ -51,4 +51,5 @@ fn main() {
          queryable set. Pick the point matching your machine's memory, not just\n\
          the global optimum."
     );
+    Ok(())
 }

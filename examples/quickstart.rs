@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use distconv::core::DistConv;
+use distconv::core::{execute, NetworkPlan, RunOptions};
 use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
+use distconv::simnet::MachineConfig;
 
 fn main() {
     // A ResNet-shaped layer, scaled to run in a second: batch 4,
@@ -45,30 +46,34 @@ fn main() {
 
     // Step 3+4 (Sec. 2.2): distribute, execute with the rotating
     // broadcast schedule, reduce, and verify against the sequential
-    // reference.
-    let report = DistConv::<f32>::new(plan)
-        .run_verified(42)
-        .expect("distributed result must match the sequential reference");
+    // reference. A single layer runs as a one-layer network.
+    let report = execute::<f32>(
+        &NetworkPlan::from(plan),
+        42,
+        MachineConfig::default(),
+        RunOptions::default(),
+    )
+    .expect("distributed result must match the sequential reference")
+    .report;
 
     println!();
     println!("verified             : {}", report.verified);
     println!(
         "measured traffic     : {} elems total ({:.0} per rank)",
-        report.measured_volume(),
-        report.measured_volume() as f64 / 16.0
+        report.measured_total(),
+        report.measured_total() as f64 / 16.0
     );
     println!(
         "schedule model       : {} elems (exact match: {})",
-        report.expected.total(),
-        report.expected.total() == report.measured_volume() as u128
+        report.expected_total(),
+        report.expected_total() == report.measured_total()
     );
     println!(
         "peak memory          : {} elems/rank (Eq.11 budget: {:.0})",
-        report.max_peak_mem(),
-        report.plan.predicted.footprint_gd
+        report.max_peak_mem, plan.predicted.footprint_gd
     );
     println!("simulated comm time  : {:.3} ms", report.sim_time * 1e3);
 
     assert!(report.verified);
-    assert_eq!(report.measured_volume() as u128, report.expected.total());
+    assert_eq!(report.measured_total(), report.expected_total());
 }

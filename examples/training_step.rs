@@ -35,7 +35,7 @@ fn main() {
         ("mid (8², 32ch)", Conv2dProblem::square(4, 32, 32, 8, 3)),
         ("deep (4², 64ch)", Conv2dProblem::square(4, 64, 64, 4, 3)),
     ] {
-        let dp = run_data_parallel(p, procs, 7, true, cfg);
+        let dp = run_data_parallel(p, procs, 7, true, cfg).expect("data_parallel run");
         let plan = Planner::new(p, MachineSpec::new(procs, 1 << 22))
             .plan()
             .expect("plan");

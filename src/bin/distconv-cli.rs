@@ -11,7 +11,7 @@
 //! All sizes are in elements (words); defaults produce a small,
 //! sub-second demonstration.
 
-use distconv::core::{run_training_step, DistConv};
+use distconv::core::{execute, run_training_step, RunOptions};
 use distconv::cost::presets::{resnet50, vgg16};
 use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv::simnet::MachineConfig;
@@ -145,17 +145,19 @@ fn main() -> ExitCode {
                     }
                 }
             } else {
-                match DistConv::<f32>::new(plan).run_verified(seed) {
-                    Ok(r) => {
+                let cfg = MachineConfig::default();
+                match execute::<f32>(&plan.into(), seed, cfg, RunOptions::default()) {
+                    Ok(run) => {
+                        let r = run.report;
                         println!(
                             "  measured      : {} elems (model {}, exact match {})",
-                            r.measured_volume(),
-                            r.expected.total(),
-                            r.measured_volume() as u128 == r.expected.total()
+                            r.measured_total(),
+                            r.expected_total(),
+                            r.measured_total() == r.expected_total()
                         );
                         println!(
                             "  peak memory   : {} elems/rank; sim time {:.3} ms; verified {}",
-                            r.max_peak_mem(),
+                            r.max_peak_mem,
                             r.sim_time * 1e3,
                             r.verified
                         );

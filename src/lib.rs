@@ -33,17 +33,21 @@
 //! ## Quickstart
 //!
 //! ```
+//! use distconv::core::{execute, NetworkPlan, RunOptions};
 //! use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
-//! use distconv::core::DistConv;
+//! use distconv::simnet::MachineConfig;
 //!
 //! // A small layer on 4 simulated ranks with 2^18 words of memory each.
 //! let problem = Conv2dProblem::new(2, 8, 8, 8, 8, 3, 3, 1, 1);
 //! let machine = MachineSpec::new(4, 1 << 18);
 //! let plan = Planner::new(problem, machine).plan().expect("feasible plan");
-//! let report = DistConv::<f32>::new(plan).run_verified(7).expect("run ok");
-//! assert!(report.verified);
+//! // A single layer runs as a one-layer network.
+//! let plan = NetworkPlan::from(plan);
+//! let run = execute::<f32>(&plan, 7, MachineConfig::default(), RunOptions::default())
+//!     .expect("run ok");
+//! assert!(run.report.verified);
 //! // Measured inter-rank traffic equals the schedule's exact model.
-//! assert_eq!(report.measured_volume() as u128, report.expected.total());
+//! assert_eq!(run.report.measured_total(), run.report.expected_total());
 //! ```
 
 pub use distconv_baselines as baselines;

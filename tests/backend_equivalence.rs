@@ -15,10 +15,10 @@
 //! Shapes are sampled from a seeded PRNG (override with
 //! `DISTCONV_PROPTEST_SEED` to explore; failures print the seed).
 
-use distconv_baselines::try_run_data_parallel;
-use distconv_core::{run_network_with_outputs, DistConv, NetworkPlan};
+use distconv_baselines::run_data_parallel;
+use distconv_core::{execute, NetworkPlan, RunOptions};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
-use distconv_distmm::{try_run_25d, try_run_cannon, try_run_dns3d, try_run_summa, MatmulDims};
+use distconv_distmm::{run_25d, run_cannon, run_dns3d, run_summa, MatmulDims};
 use distconv_simnet::{Backend, MachineConfig};
 
 fn cfg_for(backend: Backend) -> MachineConfig {
@@ -72,19 +72,17 @@ fn conv_executor_is_backend_equivalent() {
         let plan = Planner::new(problem, MachineSpec::new(8, 1 << 20))
             .plan()
             .unwrap_or_else(|e| panic!("seed {seed:#x}: no plan for {problem:?}: {e}"));
+        let plan = NetworkPlan::from(plan);
         let run = |backend| {
-            DistConv::<f64>::new(plan)
-                .with_config(cfg_for(backend))
-                .run_with_outputs(23)
+            execute::<f64>(&plan, 23, cfg_for(backend), RunOptions::default())
                 .unwrap_or_else(|e| panic!("seed {seed:#x} {backend:?}: {e}"))
         };
-        let (ra, outs_a) = run(Backend::Thread);
-        let (rb, outs_b) = run(Backend::Event);
-        assert_eq!(ra.stats, rb.stats, "seed {seed:#x} counters");
+        let (ra, rb) = (run(Backend::Thread), run(Backend::Event));
+        assert_eq!(ra.report.stats, rb.report.stats, "seed {seed:#x} counters");
         assert_eq!(ra.peak_mem, rb.peak_mem, "seed {seed:#x} peak memory");
         assert_eq!(
-            ra.makespan.to_bits(),
-            rb.makespan.to_bits(),
+            ra.report.makespan.to_bits(),
+            rb.report.makespan.to_bits(),
             "seed {seed:#x} makespan"
         );
         assert_eq!(
@@ -92,11 +90,9 @@ fn conv_executor_is_backend_equivalent() {
             rb.trace.digest(),
             "seed {seed:#x} canonical trace digest"
         );
-        assert_eq!(outs_a.len(), outs_b.len());
-        for (a, b) in outs_a.iter().zip(&outs_b) {
-            assert_eq!(a.coords, b.coords, "seed {seed:#x}");
-            assert_eq!(a.out_origin, b.out_origin, "seed {seed:#x}");
-            assert_eq!(a.slice, b.slice, "seed {seed:#x} output slices differ");
+        assert_eq!(ra.outputs.len(), rb.outputs.len());
+        for (a, b) in ra.outputs.iter().zip(&rb.outputs) {
+            assert_eq!(a, b, "seed {seed:#x} output slices differ");
         }
     }
 }
@@ -118,19 +114,19 @@ fn distmm_algorithms_are_backend_equivalent() {
         let runs: Vec<(&str, Runner)> = vec![
             (
                 "summa",
-                Box::new(move |b| try_run_summa(d, 2, 3, cfg_for(b)).unwrap()),
+                Box::new(move |b| run_summa(d, 2, 3, cfg_for(b)).unwrap()),
             ),
             (
                 "cannon",
-                Box::new(move |b| try_run_cannon(d, 3, cfg_for(b)).unwrap()),
+                Box::new(move |b| run_cannon(d, 3, cfg_for(b)).unwrap()),
             ),
             (
                 "dns3d",
-                Box::new(move |b| try_run_dns3d(d, 2, cfg_for(b)).unwrap()),
+                Box::new(move |b| run_dns3d(d, 2, cfg_for(b)).unwrap()),
             ),
             (
                 "s25d",
-                Box::new(move |b| try_run_25d(d, 2, 2, cfg_for(b)).unwrap()),
+                Box::new(move |b| run_25d(d, 2, 2, cfg_for(b)).unwrap()),
             ),
         ];
         for (name, run) in runs {
@@ -162,7 +158,7 @@ fn distmm_algorithms_are_backend_equivalent() {
 #[test]
 fn baseline_is_backend_equivalent() {
     let p = Conv2dProblem::square(8, 8, 8, 8, 3);
-    let run = |backend| try_run_data_parallel(p, 4, 7, true, cfg_for(backend)).unwrap();
+    let run = |backend| run_data_parallel(p, 4, 7, true, cfg_for(backend)).unwrap();
     let a = run(Backend::Thread);
     let b = run(Backend::Event);
     assert!(a.verified && b.verified);
@@ -182,16 +178,19 @@ fn event_backend_reproduces_the_golden_trace_digests() {
     let plan = Planner::new(p, MachineSpec::new(8, 1 << 20))
         .plan()
         .unwrap();
-    let report = DistConv::<f64>::new(plan)
-        .with_config(cfg_for(Backend::Event))
-        .run_verified(23)
-        .unwrap();
-    assert!(report.verified);
+    let run = execute::<f64>(
+        &plan.into(),
+        23,
+        cfg_for(Backend::Event),
+        RunOptions::default(),
+    )
+    .unwrap();
+    assert!(run.report.verified);
     assert_eq!(
-        report.trace.digest(),
+        run.trace.digest(),
         CONV_GOLDEN_DIGEST,
         "event backend moved the conv golden digest (got {:#018x})",
-        report.trace.digest()
+        run.trace.digest()
     );
 }
 
@@ -210,8 +209,9 @@ fn concurrent_event_machines_match_sequential_runs() {
         NetworkPlan::plan_tuned(&chain, MachineSpec::new(p, 1 << 20)).expect("chain plans")
     });
     let run = |plan: &NetworkPlan, seed: u64| {
-        let (report, outputs) =
-            run_network_with_outputs::<f64>(plan, seed, cfg_for(Backend::Event)).expect("verified");
+        let run = execute::<f64>(plan, seed, cfg_for(Backend::Event), RunOptions::default())
+            .expect("verified");
+        let (report, outputs) = (run.report, run.outputs);
         let outputs: Vec<_> = outputs
             .into_iter()
             .map(|(coords, origin, slice)| (coords, origin, slice.into_vec()))

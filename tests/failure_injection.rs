@@ -3,11 +3,13 @@
 
 use distconv::conv::gvm::{GvmError, GvmExecutor};
 use distconv::conv::kernels::workload;
-use distconv::core::{run_training_step, run_training_step_recovering, DistConv};
+use distconv::core::{
+    execute, mark_recovery, recover, run_training_step, CoreError, NetworkPlan, RunOptions,
+};
 use distconv::cost::exact::eq3_footprint_g;
 use distconv::cost::simplified::InnerLoop;
-use distconv::cost::{Conv2dProblem, MachineSpec, Partition, Planner, Tiling};
-use distconv::simnet::{Communicator, FaultPlan, Machine, MachineConfig};
+use distconv::cost::{Conv2dProblem, DistPlan, MachineSpec, Partition, Planner, Tiling};
+use distconv::simnet::{Communicator, FailureKind, FaultPlan, Machine, MachineConfig, RankFailure};
 use std::time::Duration;
 
 #[test]
@@ -73,9 +75,17 @@ fn distconv_memory_enforcement_fires_on_a_lying_plan() {
         .plan()
         .unwrap();
     plan.machine.mem = 16; // claim 16 words of memory per rank
-    let result =
-        std::panic::catch_unwind(|| DistConv::<f32>::new(plan).enforce_memory(true).run(1));
-    assert!(result.is_err());
+    let cfg = MachineConfig {
+        mem_capacity: Some(plan.machine.mem as u64),
+        ..MachineConfig::default()
+    };
+    let err = execute::<f32>(&plan.into(), 1, cfg, RunOptions::default())
+        .expect_err("enforcement must fail the run");
+    let CoreError::Machine(e) = err else {
+        panic!("expected a machine failure, got {err}");
+    };
+    let oom = |f: &RankFailure| f.kind == FailureKind::OutOfMemory;
+    assert!(e.failures.iter().all(oom));
 }
 
 #[test]
@@ -86,12 +96,15 @@ fn honest_plan_fits_under_enforcement() {
     let plan = Planner::new(p, MachineSpec::new(4, 1 << 20))
         .plan()
         .unwrap();
-    let r = DistConv::<f32>::new(plan)
-        .enforce_memory(true)
-        .run_verified(1)
-        .expect("planned capacity must suffice");
+    let cfg = MachineConfig {
+        mem_capacity: Some(plan.machine.mem as u64),
+        ..MachineConfig::default()
+    };
+    let r = execute::<f32>(&plan.into(), 1, cfg, RunOptions::default())
+        .expect("planned capacity must suffice")
+        .report;
     assert!(r.verified);
-    assert!(r.max_peak_mem() <= 1 << 20);
+    assert!(r.max_peak_mem <= 1 << 20);
 }
 
 #[test]
@@ -125,19 +138,21 @@ fn crashed_training_step_recovers_to_the_fault_free_result() {
         .unwrap();
     let clean = run_training_step::<f64>(plan, 42, MachineConfig::default())
         .expect("fault-free step must succeed");
-    assert!(!clean.recovery.recovered());
 
     let cfg = MachineConfig {
         recv_timeout: Duration::from_millis(300),
         faults: FaultPlan::reliable(0xFA_117).with_crash(2, 3),
         ..MachineConfig::default()
     };
-    let r = run_training_step_recovering::<f64>(plan, 42, cfg).expect("step must recover");
+    // A training step never degrades: no re-plan.
+    let step = |p: &DistPlan, c| run_training_step::<f64>(*p, 42, c);
+    let done = recover(&plan, cfg, step, |_| None).expect("step must recover");
+    let (rec, r) = (&done.recovery, &done.value);
     assert!(
-        r.recovery.recovered(),
+        rec.recovered(),
         "injected crash must be reported as recovered"
     );
-    assert_eq!(r.recovery.attempts, 1);
+    assert_eq!(rec.attempts, 1);
     assert!(r.forward_verified && r.grad_verified);
     assert_eq!(
         r.measured_volume(),
@@ -145,7 +160,7 @@ fn crashed_training_step_recovers_to_the_fault_free_result() {
         "recovered step must match the fault-free step's algorithmic volume"
     );
     assert!(
-        r.recovery.wasted_elems > 0,
+        rec.wasted_elems > 0,
         "the aborted attempt's cost must be reported"
     );
 }
@@ -167,16 +182,23 @@ fn persistent_crash_finishes_degraded_on_the_event_backend() {
         backend: Backend::Event,
         ..MachineConfig::default()
     };
-    let r = DistConv::<f64>::new(plan)
-        .with_config(cfg)
-        .run_recovering(7)
-        .expect("must finish degraded, not fail");
-    assert!(r.recovery.degraded() && r.recovery.recovered() && r.verified);
-    assert_eq!(r.recovery.dead_ranks, vec![0]);
-    assert!(r.plan.grid.total() < 8, "grid must have shrunk");
-    assert!(r.redist_elems > 0);
+    let net = NetworkPlan::from(plan);
+    let mut done = recover(
+        &net,
+        cfg,
+        |n, c| execute::<f64>(n, 7, c, RunOptions::default()),
+        |procs| NetworkPlan::plan(&[p], MachineSpec::new(procs, plan.machine.mem)).ok(),
+    )
+    .expect("must finish degraded, not fail");
+    let redist_elems = mark_recovery(&net, &mut done);
+    let (rec, r) = (&done.recovery, &done.value);
+    assert!(rec.degraded() && rec.recovered() && r.report.verified);
+    assert_eq!(rec.dead_ranks, vec![0]);
+    let (shrunk, _) = done.degraded.as_ref().expect("survivor plan");
+    assert!(shrunk.layers[0].grid.total() < 8, "grid must have shrunk");
+    assert!(redist_elems > 0);
     // Conformance validates the measured traffic at P', not P.
-    let rep = r.conformance();
+    let rep = r.conformance(shrunk);
     assert!(rep.pass(), "degraded conformance failed:\n{rep}");
 }
 

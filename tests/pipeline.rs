@@ -1,43 +1,50 @@
 //! End-to-end integration: plan → distribute → execute → reduce →
 //! verify, across regimes, dtypes and grid families.
 
-use distconv::core::{expected_volumes, DistConv};
-use distconv::cost::{Conv2dProblem, MachineSpec, PlanError, Planner};
+use distconv::core::{execute, expected_volumes, CoreError, NetworkReport, RunOptions};
+use distconv::cost::{Conv2dProblem, DistPlan, MachineSpec, PlanError, Planner};
+use distconv::simnet::MachineConfig;
+use distconv::tensor::Scalar;
+use std::error::Error;
+
+/// Run one planned layer, verified, as a one-layer network.
+fn run_layer<T: Scalar>(plan: DistPlan, seed: u64) -> Result<NetworkReport, CoreError> {
+    let cfg = MachineConfig::default();
+    execute::<T>(&plan.into(), seed, cfg, RunOptions::default()).map(|run| run.report)
+}
 
 #[test]
-fn full_pipeline_across_processor_counts() {
+fn full_pipeline_across_processor_counts() -> Result<(), Box<dyn Error>> {
     let p = Conv2dProblem::square(4, 16, 16, 8, 3);
     for procs in [1usize, 2, 4, 8, 16, 32] {
         let plan = Planner::new(p, MachineSpec::new(procs, 1 << 20))
             .plan()
             .unwrap_or_else(|e| panic!("P={procs}: {e}"));
         assert_eq!(plan.grid.total(), procs);
-        let r = DistConv::<f64>::new(plan)
-            .run_verified(99)
-            .expect("verified");
+        let r = run_layer::<f64>(plan, 99)?;
         assert_eq!(
-            r.measured_volume() as u128,
+            r.measured_total(),
             expected_volumes(&plan).total(),
             "P={procs}"
         );
     }
+    Ok(())
 }
 
 #[test]
-fn both_dtypes_agree_on_volume() {
+fn both_dtypes_agree_on_volume() -> Result<(), Box<dyn Error>> {
     let p = Conv2dProblem::square(2, 8, 8, 8, 3);
-    let plan = Planner::new(p, MachineSpec::new(8, 1 << 18))
-        .plan()
-        .unwrap();
-    let r32 = DistConv::<f32>::new(plan).run_verified(5).unwrap();
-    let r64 = DistConv::<f64>::new(plan).run_verified(5).unwrap();
+    let plan = Planner::new(p, MachineSpec::new(8, 1 << 18)).plan()?;
+    let r32 = run_layer::<f32>(plan, 5)?;
+    let r64 = run_layer::<f64>(plan, 5)?;
     // Identical schedule → identical element counts, regardless of dtype.
-    assert_eq!(r32.measured_volume(), r64.measured_volume());
+    assert_eq!(r32.measured_total(), r64.measured_total());
     assert_eq!(r32.stats.per_rank_elems, r64.stats.per_rank_elems);
+    Ok(())
 }
 
 #[test]
-fn forced_grid_families_all_verify() {
+fn forced_grid_families_all_verify() -> Result<(), Box<dyn Error>> {
     let p = Conv2dProblem::square(2, 8, 16, 4, 3);
     for pc in [1usize, 2, 4] {
         let Ok(plan) = Planner::new(p, MachineSpec::new(8, 1 << 20))
@@ -47,11 +54,10 @@ fn forced_grid_families_all_verify() {
             continue;
         };
         assert_eq!(plan.grid.pc, pc);
-        let r = DistConv::<f64>::new(plan)
-            .run_verified(17)
-            .expect("verified");
-        assert_eq!(r.measured_volume() as u128, r.expected.total(), "pc={pc}");
+        let r = run_layer::<f64>(plan, 17)?;
+        assert_eq!(r.measured_total(), r.expected_total(), "pc={pc}");
     }
+    Ok(())
 }
 
 #[test]
@@ -75,27 +81,28 @@ fn constant_gap_theorem_every_plan() {
 }
 
 #[test]
-fn volume_decreases_with_memory() {
+fn volume_decreases_with_memory() -> Result<(), Box<dyn Error>> {
     // The headline trade-off, measured (not just predicted): more
     // per-rank memory must never increase realized traffic.
     let p = Conv2dProblem::square(4, 16, 32, 4, 3);
-    let mut prev = u64::MAX;
+    let mut prev = u128::MAX;
     for mem in [1usize << 12, 1 << 14, 1 << 18, 1 << 22] {
         let Ok(plan) = Planner::new(p, MachineSpec::new(16, mem)).plan() else {
             continue;
         };
-        let r = DistConv::<f64>::new(plan).run_verified(3).unwrap();
+        let r = run_layer::<f64>(plan, 3)?;
         assert!(
-            r.measured_volume() <= prev,
+            r.measured_total() <= prev,
             "mem={mem}: {} after {prev}",
-            r.measured_volume()
+            r.measured_total()
         );
-        prev = r.measured_volume();
+        prev = r.measured_total();
     }
     assert!(
-        prev < u64::MAX,
+        prev < u128::MAX,
         "at least one memory level must be feasible"
     );
+    Ok(())
 }
 
 #[test]
@@ -116,27 +123,25 @@ fn planner_failure_modes_are_typed() {
 }
 
 #[test]
-fn seeds_change_data_not_volume() {
+fn seeds_change_data_not_volume() -> Result<(), Box<dyn Error>> {
     let p = Conv2dProblem::square(2, 8, 8, 4, 3);
-    let plan = Planner::new(p, MachineSpec::new(4, 1 << 18))
-        .plan()
-        .unwrap();
-    let a = DistConv::<f64>::new(plan).run_verified(1).unwrap();
-    let b = DistConv::<f64>::new(plan).run_verified(2).unwrap();
-    assert_eq!(a.measured_volume(), b.measured_volume());
+    let plan = Planner::new(p, MachineSpec::new(4, 1 << 18)).plan()?;
+    let a = run_layer::<f64>(plan, 1)?;
+    let b = run_layer::<f64>(plan, 2)?;
+    assert_eq!(a.measured_total(), b.measured_total());
+    Ok(())
 }
 
 #[test]
-fn non_power_of_two_extents() {
+fn non_power_of_two_extents() -> Result<(), Box<dyn Error>> {
     // 6 = 2·3 and 12 = 2²·3 exercise non-dyadic divisor grids.
     let p = Conv2dProblem::new(6, 12, 6, 6, 6, 3, 3, 1, 1);
     for procs in [2usize, 3, 6, 12] {
         let Ok(plan) = Planner::new(p, MachineSpec::new(procs, 1 << 20)).plan() else {
             panic!("P={procs} should be plannable for 6/12 extents");
         };
-        let r = DistConv::<f64>::new(plan)
-            .run_verified(7)
-            .expect("verified");
-        assert_eq!(r.measured_volume() as u128, r.expected.total(), "P={procs}");
+        let r = run_layer::<f64>(plan, 7)?;
+        assert_eq!(r.measured_total(), r.expected_total(), "P={procs}");
     }
+    Ok(())
 }

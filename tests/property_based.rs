@@ -5,13 +5,14 @@
 
 use distconv::conv::gvm::GvmExecutor;
 use distconv::conv::kernels::{conv2d_direct, conv_tile, out_shape, workload};
-use distconv::core::DistConv;
+use distconv::core::{execute, RunOptions};
 use distconv::cost::brute::{brute_eq4, brute_eq4_conforming, property5_holds};
 use distconv::cost::closed_form::{ml_deflate, solve_table1};
 use distconv::cost::exact::{eq3_cost_int, eq3_footprint_g};
 use distconv::cost::simplified::InnerLoop;
 use distconv::cost::{Conv2dProblem, MachineSpec, Partition, Planner, Tiling};
 use distconv::par::proptest_mini::{check, Config, Gen};
+use distconv::simnet::MachineConfig;
 use distconv::tensor::{assert_close, Tensor4};
 
 /// Random small conv problems (kept tiny: the references are O(N^7)).
@@ -169,11 +170,12 @@ fn distributed_equals_sequential() {
                 // planner's documented Unfactorable case, not a bug.
                 return;
             };
-            let r = DistConv::<f64>::new(plan)
-                .run_verified(seed)
-                .expect("distributed result must match reference");
+            let cfg = MachineConfig::default();
+            let r = execute::<f64>(&plan.into(), seed, cfg, RunOptions::default())
+                .expect("distributed result must match reference")
+                .report;
             assert!(r.verified);
-            assert_eq!(r.measured_volume() as u128, r.expected.total());
+            assert_eq!(r.measured_total(), r.expected_total());
         },
     );
 }

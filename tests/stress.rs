@@ -4,7 +4,7 @@
 //! (tag collisions, queue blowups, accounting overflow) that small
 //! configurations cannot.
 
-use distconv::core::{run_network, run_training_step, DistConv, NetworkPlan};
+use distconv::core::{execute, run_network, run_training_step, NetworkPlan, RunOptions};
 use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv::simnet::{Communicator, Machine, MachineConfig};
 
@@ -15,11 +15,12 @@ fn stress_64_ranks_verified() {
     let plan = Planner::new(p, MachineSpec::new(64, 1 << 22))
         .plan()
         .unwrap();
-    let r = DistConv::<f32>::new(plan)
-        .run_verified(1)
-        .expect("verified");
+    let cfg = MachineConfig::default();
+    let r = execute::<f32>(&plan.into(), 1, cfg, RunOptions::default())
+        .expect("verified")
+        .report;
     assert!(r.verified);
-    assert_eq!(r.measured_volume() as u128, r.expected.total());
+    assert_eq!(r.measured_total(), r.expected_total());
 }
 
 #[test]

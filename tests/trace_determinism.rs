@@ -8,10 +8,10 @@
 //! this suite in both the `DISTCONV_THREADS=1` and `DISTCONV_THREADS=4`
 //! legs, and both must reproduce the same numbers.
 
-use distconv_core::DistConv;
+use distconv_core::{execute, RunOptions};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
-use distconv_distmm::{summa_rank_body_mode, MatmulDims};
-use distconv_par::CommMode;
+use distconv_distmm::{summa_rank_body, MatmulDims};
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Machine, MachineConfig};
 use distconv_trace::RunTrace;
 
@@ -28,17 +28,20 @@ fn conv_trace(mode: CommMode) -> RunTrace {
     let plan = Planner::new(p, MachineSpec::new(8, 1 << 20))
         .plan()
         .unwrap();
-    DistConv::<f64>::new(plan)
-        .with_comm_mode(mode)
-        .run_verified(23)
+    let opts = RunOptions {
+        verify: true,
+        comm: mode,
+    };
+    execute::<f64>(&plan.into(), 23, MachineConfig::default(), opts)
         .unwrap()
         .trace
 }
 
 fn summa_trace(mode: CommMode) -> RunTrace {
     let d = MatmulDims::new(30, 20, 25);
+    let kernel = LocalKernel::from_env();
     Machine::try_run::<f64, _, _>(6, MachineConfig::default(), move |rank| {
-        summa_rank_body_mode(rank, &d, 2, 3, mode)
+        summa_rank_body(rank, &d, 2, 3, kernel, mode)
     })
     .unwrap()
     .trace
