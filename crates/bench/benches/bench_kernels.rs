@@ -12,6 +12,13 @@
 //! scalar-host (or `DISTCONV_SIMD=off`) run is never mistaken for a
 //! vectorized one.
 //!
+//! The `conv_plan_tiles` suite times the in-plan tile kernel:
+//! `conv_tile_fast` on one `T_c = 1` channel step of each layer of the
+//! E17 nets, at the tile shape `plan_tuned` picks for `P = 4` (the
+//! serving clusters' size), in f64 and f32, on the active path
+//! (`…/simd`) and pinned scalar (`…/scalar`). Labels carry the tile
+//! `T_b×T_k×T_w×T_h`, so a width that misses the vector lanes shows.
+//!
 //! The `conv_oracle_nets` suite times the verification oracle itself:
 //! `conv2d_direct` / `conv2d_direct_par` chained over the served nets
 //! in f64, where `bench_compare`'s `direct_par` guard also applies.
@@ -23,14 +30,15 @@
 //! `BENCH_kernels.json`) in the `distconv-bench-v1` schema — see `scripts/bench_compare.sh` for
 //! diffing two such files across commits.
 
-use distconv_bench::{autotune_nets, bench_report_json, BenchRecord, Suite};
+use distconv_bench::{autotune_nets, bench_report_json, provenance, BenchRecord, Suite};
 use distconv_conv::kernels::{
     conv2d_direct, conv2d_direct_par, conv_tile, in_shape, ker_shape, out_shape, workload,
 };
 use distconv_conv::{conv2d_fast, conv_tile_fast, ConvScratch};
-use distconv_cost::Conv2dProblem;
+use distconv_core::NetworkPlan;
+use distconv_cost::{Conv2dProblem, MachineSpec};
 use distconv_tensor::simd::{self, SimdPath};
-use distconv_tensor::Tensor4;
+use distconv_tensor::{Scalar, Tensor4};
 use std::hint::black_box;
 
 /// Multiply-adds of one forward pass ×2 (mul + add).
@@ -159,6 +167,41 @@ fn bench_strided(records: &mut Vec<BenchRecord>) {
     }
 }
 
+/// One channel step of every layer of the E17 nets, at the tile shape
+/// `plan_tuned` gives them on `P = 4` ranks: `Out[T_b, T_k, T_w, T_h]
+/// += In[T_b, 1, ·, ·] ⊛ Ker[T_k, 1, N_r, N_s]`, the call the
+/// distributed forward loop makes once per received tile pair.
+fn bench_plan_tiles(records: &mut Vec<BenchRecord>) {
+    let mut g = Suite::new("conv_plan_tiles");
+    for (name, layers) in autotune_nets() {
+        let plan = NetworkPlan::plan_tuned(&layers, MachineSpec::new(4, 1 << 22))
+            .expect("the E17 nets plan on 4 ranks");
+        for (l, lp) in plan.layers.iter().enumerate() {
+            let (p, t) = (lp.problem, lp.t);
+            assert_eq!(t.tc, 1, "the distributed schedule requires T_c = 1");
+            let tile = Conv2dProblem::new(t.tb, t.tk, 1, t.th, t.tw, p.nr, p.ns, p.sw, p.sh);
+            let case = format!("{name}_L{}/{}x{}x{}x{}", l + 1, t.tb, t.tk, t.tw, t.th);
+            plan_tile_cases::<f64>(&mut g, &tile, &format!("{case}/f64"));
+            plan_tile_cases::<f32>(&mut g, &tile, &format!("{case}/f32"));
+        }
+    }
+    records.extend(g.finish());
+}
+
+/// `label/simd` on the active path, then `label/scalar` pinned.
+fn plan_tile_cases<T: Scalar>(g: &mut Suite, tile: &Conv2dProblem, label: &str) {
+    let flops = conv_flops(tile);
+    let (input, ker) = workload::<T>(tile, 3);
+    let mut out = Tensor4::<T>::zeros(out_shape(tile));
+    let mut scratch = ConvScratch::new();
+    let mut step = || {
+        conv_tile_fast(tile, &mut out, &input, &ker, &mut scratch);
+        black_box(out.as_slice()[0])
+    };
+    g.bench_flops(format!("{label}/simd"), flops, &mut step);
+    pinned_scalar(|| g.bench_flops(format!("{label}/scalar"), flops, &mut step));
+}
+
 /// The oracle as the serving path runs it: `direct` and `direct_par`
 /// chained over each served net's layer list in f64, every layer's
 /// output feeding the next. GFLOP/s is over the whole chain.
@@ -198,8 +241,9 @@ fn main() {
             .unwrap_or_else(|| "BENCH_kernels.json".to_string())
     });
 
-    // One-line ISA note: which micro-kernel path the unpinned records
-    // (`*_simd`) actually ran on.
+    // Where the numbers were taken, and which micro-kernel path the
+    // unpinned records (`*_simd`, `…/simd`) actually ran on.
+    println!("provenance {}", provenance());
     println!(
         "micro-kernel ISA path: {} ({}={}; host supports {})",
         simd::active().name(),
@@ -212,6 +256,7 @@ fn main() {
     let derived = bench_conv_kernels(&mut records);
     bench_layer_sweep(&mut records);
     bench_strided(&mut records);
+    bench_plan_tiles(&mut records);
     bench_oracle_nets(&mut records);
 
     for (k, v) in &derived {

@@ -119,9 +119,40 @@ impl ToJson for BenchRecord {
     }
 }
 
+/// Where a bench ran, in the format of perfbench's provenance line: a
+/// one-line JSON object with the host name, the core count, the active
+/// micro-kernel ISA path and the commit of the checkout (read from
+/// `.git` at the workspace root; `unknown` outside a git checkout).
+pub fn provenance() -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let read = |p: &str| std::fs::read_to_string(format!("{root}/{p}")).ok();
+    let commit = read(".git/HEAD")
+        .and_then(|head| match head.trim().strip_prefix("ref: ") {
+            None => Some(head.trim().to_string()),
+            Some(r) => read(&format!(".git/{r}"))
+                .map(|h| h.trim().to_string())
+                .or_else(|| {
+                    read(".git/packed-refs")?
+                        .lines()
+                        .find(|l| l.ends_with(r))
+                        .and_then(|l| l.split_whitespace().next().map(str::to_string))
+                }),
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let host = std::fs::read_to_string("/proc/sys/kernel/hostname").unwrap_or_default();
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    JsonObject::new()
+        .field_str("host", host.trim())
+        .field_usize("nproc", nproc)
+        .field_str("simd", distconv_tensor::simd::active().name())
+        .field_str("commit", &commit)
+        .finish()
+}
+
 /// Serialize a bench run to the `BENCH_*.json` trajectory schema:
-/// `{schema, quick, derived: {...}, records: [...]}`. `quick` is
-/// recorded so consumers can refuse to compare smoke-mode timings.
+/// `{schema, quick, provenance: {...}, derived: {...}, records: [...]}`.
+/// `quick` is recorded so consumers can refuse to compare smoke-mode
+/// timings, and [`provenance`] so they can tell hosts and commits apart.
 pub fn bench_report_json(records: &[BenchRecord], derived: &[(&str, f64)]) -> String {
     let mut arr = JsonArray::new();
     for r in records {
@@ -134,6 +165,7 @@ pub fn bench_report_json(records: &[BenchRecord], derived: &[(&str, f64)]) -> St
     JsonObject::new()
         .field_str("schema", "distconv-bench-v1")
         .field_usize("quick", BenchConfig::from_env().quick as usize)
+        .field_json("provenance", &RawJson(provenance()))
         .field_json("derived", &RawJson(dobj.finish()))
         .field_json("records", &RawJson(arr.finish()))
         .finish()

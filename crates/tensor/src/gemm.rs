@@ -110,7 +110,10 @@ pub fn gemm_acc_rows<T: Scalar>(
     b: &[T],
     b_off: &[usize],
 ) {
-    gemm_acc_rows_with(
+    // `active()` only ever holds a path the host can run (resolved from
+    // CPUID, or pinned through the checked `simd::force`), so the hot
+    // path skips `gemm_acc_rows_with`'s host check.
+    gemm_on_path(
         simd::active(),
         c,
         c_stride,
@@ -128,8 +131,36 @@ pub fn gemm_acc_rows<T: Scalar>(
 /// the cached [`crate::simd::active`] decision. This is the hook the
 /// bitwise-equivalence suites and the kernel benches use to compare
 /// paths inside one process without mutating global dispatch state.
+///
+/// # Panics
+///
+/// If `path` is [`SimdPath::Avx2`] and the host lacks `avx2`+`fma`
+/// (the check reads [`crate::simd::detect`], whose CPUID probe the
+/// standard library caches) — the same refusal as
+/// [`crate::simd::force`]. Running the AVX2 kernel there would be
+/// undefined behaviour, and silently running scalar instead would let
+/// an equivalence test compare the scalar kernel with itself.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_acc_rows_with<T: Scalar>(
+    path: SimdPath,
+    c: &mut [T],
+    c_stride: usize,
+    mr: usize,
+    n: usize,
+    at: &[T],
+    at_stride: usize,
+    i0: usize,
+    b: &[T],
+    b_off: &[usize],
+) {
+    simd::assert_runnable(path);
+    gemm_on_path(path, c, c_stride, mr, n, at, at_stride, i0, b, b_off);
+}
+
+/// Dispatch to `path`'s kernel; the caller has checked the host can
+/// run it.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on_path<T: Scalar>(
     path: SimdPath,
     c: &mut [T],
     c_stride: usize,

@@ -19,7 +19,22 @@
 //! generation marker (every AVX2 part ships FMA; requiring both keeps
 //! the gate conservative). Vector lanes map to distinct output
 //! elements, so lane-parallelism cannot reorder any element's sum.
-//! Equivalence is pinned by `tensor/tests/simd_equivalence.rs` and
+//!
+//! **Every width runs vectorized.** A row of `n` output columns runs
+//! `n / lanes` full vectors and, when `n % lanes ≠ 0`, one more vector
+//! under a lane mask (`vmaskmov` loads of the `C` and `B` rows, a
+//! `vmaskmov` store of `C`). The masked pass runs the same ascending-`j`
+//! `add(acc, mul(a, b))` sequence, so the tail is bitwise equal to the
+//! scalar kernel too. Masked-off lanes are never read or written: a
+//! caller's columns past `n` (the `c_stride − n` gap between strided
+//! rows, or the neighbouring tiles of a resident `Out` shard) are left
+//! untouched, and a masked load past the end of an allocation does not
+//! fault. This matters because the planner's tiles are rarely a
+//! multiple of the lane count (`T_h` ∈ {5, 6, 7} on the E17 nets), so
+//! a scalar tail would carry most of the in-plan work.
+//!
+//! Equivalence is pinned by `tensor/tests/simd_equivalence.rs` (every
+//! width `1..=17`, with canaries around each row) and
 //! `conv/tests/simd_vs_scalar.rs`.
 //!
 //! Dispatch is resolved once (env + CPUID) and cached in an atomic;
@@ -132,16 +147,22 @@ pub fn active() -> SimdPath {
 /// next [`active`] call re-resolves from [`SIMD_ENV`] + CPUID.
 pub fn force(path: Option<SimdPath>) {
     match path {
-        Some(SimdPath::Avx2) => {
-            assert!(
-                detect() == SimdPath::Avx2,
-                "cannot force the AVX2 kernel path: host lacks avx2+fma"
-            );
-            ACTIVE.store(SimdPath::Avx2 as u8, Ordering::Relaxed);
+        Some(path) => {
+            assert_runnable(path);
+            ACTIVE.store(path as u8, Ordering::Relaxed);
         }
-        Some(SimdPath::Scalar) => ACTIVE.store(SimdPath::Scalar as u8, Ordering::Relaxed),
         None => ACTIVE.store(0, Ordering::Relaxed),
     }
+}
+
+/// Panic unless this host can run `path`: the AVX2 kernels are
+/// `#[target_feature]` code, and entering them without `avx2`+`fma`
+/// is undefined behaviour. The scalar path runs everywhere.
+pub(crate) fn assert_runnable(path: SimdPath) {
+    assert!(
+        path == SimdPath::Scalar || detect() == SimdPath::Avx2,
+        "cannot run the AVX2 kernel path: host lacks avx2+fma"
+    );
 }
 
 /// Try the AVX2 kernel for this element type: returns `false` (caller
@@ -210,12 +231,43 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
+    /// Lane mask selecting the first `rem` (1..8) of eight 32-bit lanes.
+    #[target_feature(enable = "avx2")]
+    fn tail_mask_f32(rem: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(rem as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// Lane mask selecting the first `rem` (1..4) of four 64-bit lanes.
+    #[target_feature(enable = "avx2")]
+    fn tail_mask_f64(rem: usize) -> __m256i {
+        _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(rem as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        )
+    }
+
     macro_rules! avx2_gemm {
-        ($wrapper:ident, $kernel:ident, $t:ty, $v:ty, $lanes:expr,
-         $loadu:ident, $storeu:ident, $set1:ident, $setzero:ident, $mul:ident, $add:ident) => {
-            /// One group of `MRK` output rows: vector main loop over
-            /// `n`, scalar tail — both ascending-`j` per element,
-            /// `mul` rounded before `add` (no FMA; see module docs).
+        ($wrapper:ident, $kernel:ident, $t:ty, $v:ty, $lanes:expr, $loadu:ident,
+         $storeu:ident, $maskload:ident, $maskstore:ident, $tail_mask:ident,
+         $set1:ident, $setzero:ident, $mul:ident, $add:ident) => {
+            /// One group of `MRK` output rows: full vectors over `n`,
+            /// then one masked vector for the last `n % lanes` columns —
+            /// both ascending-`j` per element, `mul` rounded before
+            /// `add` (no FMA; see module docs). Masked-off lanes are
+            /// never read or written, so the columns past `n` (the
+            /// `c_stride − n` gap, neighbouring tiles of a resident
+            /// shard, the end of the allocation) stay untouched.
+            ///
+            /// # Safety
+            ///
+            /// The host supports `avx2`; `c` is valid for reads and
+            /// writes of `(MRK − 1)·c_stride + n` elements, `at` for
+            /// reads at `j·at_stride + i0 + r` and `b` for reads of
+            /// `b_off[j] .. b_off[j] + n`, for every `j` and `r < MRK`
+            /// (the wrapper below asserts these bounds).
             #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = "avx2", enable = "fma")]
             unsafe fn $kernel<const MRK: usize>(
@@ -248,13 +300,27 @@ mod x86 {
                     }
                     h0 += $lanes;
                 }
-                for r in 0..MRK {
-                    for h in nv..n {
-                        let mut a = *c.add(r * c_stride + h);
-                        for (j, &off) in b_off.iter().enumerate() {
-                            a += *at.add(j * at_stride + i0 + r) * *b.add(off + h);
+                if nv < n {
+                    // The same pass on one masked vector.
+                    // SAFETY: the mask enables lanes `nv..n` only, which
+                    // the wrapper bounds-checked like the full vectors.
+                    // Masked-off lanes load as zero, are never stored,
+                    // and do not fault even past the end of `c` or `b`.
+                    let m = $tail_mask(n - nv);
+                    let mut acc: [$v; MRK] = [$setzero(); MRK];
+                    for r in 0..MRK {
+                        acc[r] = $maskload(c.add(r * c_stride + nv), m);
+                    }
+                    for (j, &off) in b_off.iter().enumerate() {
+                        let vb = $maskload(b.add(off + nv), m);
+                        let ap = at.add(j * at_stride + i0);
+                        for r in 0..MRK {
+                            let va = $set1(*ap.add(r));
+                            acc[r] = $add(acc[r], $mul(va, vb));
                         }
-                        *c.add(r * c_stride + h) = a;
+                    }
+                    for r in 0..MRK {
+                        $maskstore(c.add(r * c_stride + nv), m, acc[r]);
                     }
                 }
             }
@@ -323,6 +389,9 @@ mod x86 {
         8,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
+        _mm256_maskload_ps,
+        _mm256_maskstore_ps,
+        tail_mask_f32,
         _mm256_set1_ps,
         _mm256_setzero_ps,
         _mm256_mul_ps,
@@ -336,6 +405,9 @@ mod x86 {
         4,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
+        _mm256_maskload_pd,
+        _mm256_maskstore_pd,
+        tail_mask_f64,
         _mm256_set1_pd,
         _mm256_setzero_pd,
         _mm256_mul_pd,

@@ -8,7 +8,9 @@
 //! `gemm_acc_rows_with` (no global dispatch state mutated), over random
 //! shapes covering every `mr ≤ MR_MAX`, vector tails (`n % lanes ≠ 0`),
 //! strided output rows, panel column offsets, and overlapping right-row
-//! offset tables (the implicit-im2col aliasing pattern).
+//! offset tables (the implicit-im2col aliasing pattern). A deterministic
+//! sweep adds every width `1..=17` × every `mr` with canaries around
+//! each output row, proving the masked tail never stores outside `n`.
 //!
 //! On hosts without AVX2 the comparison is vacuous (both calls take the
 //! scalar kernel); a loud skip note is printed so a green run on such a
@@ -136,6 +138,77 @@ fn simd_matches_scalar_bitwise_f64() {
     );
 }
 
+/// Written around every output row in [`canaries_and_bits_hold`]:
+/// outside the `from_u64_hash` range, so any store into it shows.
+const CANARY: f64 = 1.0e6 + 0.5;
+
+/// One deterministic call on both paths: `mr` rows of width `n` with a
+/// 3-column gap between rows and 9 columns after the last row, all
+/// holding [`CANARY`]; `K = kc` right-hand rows with a one-column gap
+/// between them. Asserts AVX2 == scalar bitwise and every canary intact.
+fn canaries_and_bits_hold<T: Scalar>(mr: usize, n: usize, kc: usize, label: &str) {
+    let (gap, tail) = (3usize, 9usize);
+    let c_stride = n + gap;
+    let c_len = (mr - 1) * c_stride + n + tail;
+    let live = |i: usize| i / c_stride < mr && i % c_stride < n;
+    let seed = ((mr * 131 + n) * 131 + kc) as u64;
+    let canary = T::from_f64(CANARY);
+    let c_init: Vec<T> = (0..c_len)
+        .map(|i| {
+            if live(i) {
+                T::from_u64_hash(seed.wrapping_mul(0x9E37_79B9) ^ i as u64)
+            } else {
+                canary
+            }
+        })
+        .collect();
+    // Panel rows i0 = 1 .. 1 + mr of an (mr + 2)-row left operand.
+    let (m_total, i0) = (mr + 2, 1usize);
+    let a: Vec<T> = (0..m_total * kc)
+        .map(|x| T::from_u64_hash(seed.rotate_left(17) ^ x as u64))
+        .collect();
+    let mut at = Vec::new();
+    pack_transposed(&a, m_total, kc, &mut at);
+    let b: Vec<T> = (0..kc * (n + 1))
+        .map(|x| T::from_u64_hash(seed.rotate_left(41) ^ x as u64))
+        .collect();
+    let b_off: Vec<usize> = (0..kc).map(|j| j * (n + 1)).collect();
+
+    let run = |path: SimdPath| {
+        let mut c = c_init.clone();
+        gemm_acc_rows_with(path, &mut c, c_stride, mr, n, &at, m_total, i0, &b, &b_off);
+        c
+    };
+    let (scalar, wide) = (run(SimdPath::Scalar), run(SimdPath::Avx2));
+    for (i, (s, v)) in scalar.iter().zip(&wide).enumerate() {
+        assert!(
+            s == v,
+            "{label} mr={mr} n={n} K={kc}: index {i}: scalar {s:?} vs avx2 {v:?}"
+        );
+        if !live(i) {
+            assert!(
+                *v == canary,
+                "{label} mr={mr} n={n} K={kc}: canary at index {i} overwritten with {v:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_width_and_row_count_matches_scalar_and_keeps_canaries() {
+    if !wide_path_available() {
+        return;
+    }
+    for kc in [1usize, 9, 27] {
+        for mr in 1..=MR_MAX {
+            for n in 1..=17 {
+                canaries_and_bits_hold::<f32>(mr, n, kc, "f32");
+                canaries_and_bits_hold::<f64>(mr, n, kc, "f64");
+            }
+        }
+    }
+}
+
 #[test]
 fn accumulation_order_is_j_ascending_on_both_paths() {
     // Pin the *order* contract itself, not just path agreement: a
@@ -173,26 +246,10 @@ fn fma_contraction_is_not_used() {
     // a·b = (1+2^-12)² = 1 + 2^-11 + 2^-24. The f32 mul rounds the
     // 2^-24 tail away (ties-to-even toward 1+2^-11); accumulating onto
     // -1.0 then yields exactly 2^-11, while an FMA keeps the tail and
-    // yields 2^-11 + 2^-24. Use n=8 so the vector lane path (not the
-    // scalar tail) is exercised.
+    // yields 2^-11 + 2^-24. Widths 8, 5 and 13 exercise a full vector,
+    // the masked tail alone, and both.
     let a = 1.0f32 + f32::powi(2.0, -12);
     let at = vec![a; 1];
-    let b = vec![a; 8];
-    let mut c_wide = vec![-1.0f32; 8];
-    gemm_acc_rows_with(SimdPath::Avx2, &mut c_wide, 8, 1, 8, &at, 1, 0, &b, &[0]);
-    let mut c_scalar = vec![-1.0f32; 8];
-    gemm_acc_rows_with(
-        SimdPath::Scalar,
-        &mut c_scalar,
-        8,
-        1,
-        8,
-        &at,
-        1,
-        0,
-        &b,
-        &[0],
-    );
     let mul_then_add = -1.0f32 + (a * a);
     let fma_result = a.mul_add(a, -1.0f32);
     // Sanity: the probe actually discriminates on this host's arithmetic.
@@ -200,6 +257,18 @@ fn fma_contraction_is_not_used() {
         mul_then_add, fma_result,
         "probe operands no longer discriminate mul+add from fma"
     );
-    assert_eq!(c_scalar[0], mul_then_add);
-    assert_eq!(c_wide, c_scalar, "wide path must round mul before add");
+    for n in [8usize, 5, 13] {
+        let b = vec![a; n];
+        let run = |path: SimdPath| {
+            let mut c = vec![-1.0f32; n];
+            gemm_acc_rows_with(path, &mut c, n, 1, n, &at, 1, 0, &b, &[0]);
+            c
+        };
+        let (c_scalar, c_wide) = (run(SimdPath::Scalar), run(SimdPath::Avx2));
+        assert_eq!(c_scalar, vec![mul_then_add; n]);
+        assert_eq!(
+            c_wide, c_scalar,
+            "n={n}: wide path must round mul before add"
+        );
+    }
 }
