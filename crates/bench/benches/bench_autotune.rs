@@ -12,7 +12,7 @@
 //! [PATH]` writes the `distconv-bench-v1` trajectory (default
 //! `BENCH_autotune.json`).
 
-use distconv_bench::{autotune_nets, bench_report_json, BenchRecord, Suite};
+use distconv_bench::{autotune_nets, bench_report_json, greedy_chain, BenchRecord, Suite};
 use distconv_core::{run_network, NetworkPlan};
 use distconv_cost::MachineSpec;
 use distconv_simnet::{Backend, MachineConfig};
@@ -28,7 +28,7 @@ fn bench_planning(records: &mut Vec<BenchRecord>) {
         let machine = MachineSpec::new(256, 1 << 22);
         let l = layers.clone();
         g.bench(format!("plan_greedy/{name}"), move || {
-            NetworkPlan::plan(black_box(&l), machine).unwrap()
+            greedy_chain(black_box(&l), machine)
         });
         let l = layers.clone();
         g.bench(format!("plan_tuned/{name}"), move || {
@@ -50,7 +50,7 @@ fn bench_execution(records: &mut Vec<BenchRecord>) {
         ..MachineConfig::default()
     };
     for (label, plan) in [
-        ("run_greedy", NetworkPlan::plan(layers, machine).unwrap()),
+        ("run_greedy", greedy_chain(layers, machine)),
         (
             "run_tuned",
             NetworkPlan::plan_tuned(layers, machine).unwrap(),
@@ -77,7 +77,7 @@ fn predicted_speedup(derived: &mut Vec<(String, f64)>) {
     for (name, layers) in autotune_nets() {
         for procs in [4usize, 16, 64, 256, 1024] {
             let machine = MachineSpec::new(procs, 1 << 22);
-            let g = NetworkPlan::plan(&layers, machine).unwrap();
+            let g = greedy_chain(&layers, machine);
             let t = NetworkPlan::plan_tuned(&layers, machine).unwrap();
             greedy_sum += g.predicted_total_cost();
             tuned_sum += t.predicted_total_cost();

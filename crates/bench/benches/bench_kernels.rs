@@ -5,7 +5,7 @@
 //!
 //! **Record policy:** the legacy labels (`conv_tile/reference`,
 //! `conv_tile_fast/packed`, `conv2d_fast/whole`, the sweep's
-//! `direct`/`direct_par`/`fast`) are pinned to the **scalar**
+//! `direct`/`fast`) are pinned to the **scalar**
 //! micro-kernel so their GFLOP/s trajectory stays comparable across
 //! commits and hosts; the `*_simd` labels run on the active (env +
 //! CPUID resolved) path. A startup note names the selected ISA so a
@@ -21,7 +21,8 @@
 //!
 //! The `conv_oracle_nets` suite times the verification oracle itself:
 //! `conv2d_direct` / `conv2d_direct_par` chained over the served nets
-//! in f64, where `bench_compare`'s `direct_par` guard also applies.
+//! in f64, where `bench_compare`'s `direct_par` guard also applies;
+//! `direct_par` is recorded only on chains above `PAR_MADD_CUTOFF`.
 //!
 //! `cargo bench -p distconv-bench --bench bench_kernels -- --json [PATH]`
 //! additionally writes the measurements (plus the headline
@@ -33,6 +34,7 @@
 use distconv_bench::{autotune_nets, bench_report_json, provenance, BenchRecord, Suite};
 use distconv_conv::kernels::{
     conv2d_direct, conv2d_direct_par, conv_tile, in_shape, ker_shape, out_shape, workload,
+    PAR_MADD_CUTOFF,
 };
 use distconv_conv::{conv2d_fast, conv_tile_fast, ConvScratch};
 use distconv_core::NetworkPlan;
@@ -115,8 +117,10 @@ fn bench_conv_kernels(records: &mut Vec<BenchRecord>) -> Vec<(&'static str, f64)
     derived
 }
 
-/// Smaller layer shapes: the three scalar-pinned local kernels side by
-/// side, plus the SIMD fast path.
+/// Smaller layer shapes: the scalar-pinned `direct` and `fast` kernels
+/// side by side, plus the SIMD fast path. All three shapes are below
+/// `PAR_MADD_CUTOFF`, where `direct_par` would run `direct`'s serial
+/// code, so it is not timed here.
 fn bench_layer_sweep(records: &mut Vec<BenchRecord>) {
     let layers = [
         ("early_16x16", Conv2dProblem::square(2, 8, 8, 16, 3)),
@@ -130,9 +134,6 @@ fn bench_layer_sweep(records: &mut Vec<BenchRecord>) {
         pinned_scalar(|| {
             g.bench_flops("direct", flops, || {
                 black_box(conv2d_direct(&p, &input, &ker))
-            });
-            g.bench_flops("direct_par", flops, || {
-                black_box(conv2d_direct_par(&p, &input, &ker))
             });
             g.bench_flops("fast", flops, || black_box(conv2d_fast(&p, &input, &ker)));
         });
@@ -205,6 +206,9 @@ fn plan_tile_cases<T: Scalar>(g: &mut Suite, tile: &Conv2dProblem, label: &str) 
 /// The oracle as the serving path runs it: `direct` and `direct_par`
 /// chained over each served net's layer list in f64, every layer's
 /// output feeding the next. GFLOP/s is over the whole chain.
+/// `direct_par` is timed only on chains whose work reaches
+/// `PAR_MADD_CUTOFF` (`bench_compare`'s rule): below it, it runs the
+/// same serial code as `direct`.
 fn bench_oracle_nets(records: &mut Vec<BenchRecord>) {
     let mut g = Suite::new("conv_oracle_nets");
     for (name, layers) in autotune_nets() {
@@ -225,9 +229,11 @@ fn bench_oracle_nets(records: &mut Vec<BenchRecord>) {
         g.bench_flops(format!("{name}/direct"), flops, || {
             black_box(chain(conv2d_direct))
         });
-        g.bench_flops(format!("{name}/direct_par"), flops, || {
-            black_box(chain(conv2d_direct_par))
-        });
+        if flops / 2 >= PAR_MADD_CUTOFF as u64 {
+            g.bench_flops(format!("{name}/direct_par"), flops, || {
+                black_box(chain(conv2d_direct_par))
+            });
+        }
     }
     records.extend(g.finish());
 }

@@ -18,8 +18,18 @@ pub use trace::{e14_sample_trace, e14_trace_conformance, validate_chrome_trace};
 use distconv_core::{
     execute, mark_recovery, recover, CoreError, NetworkPlan, NetworkRun, Recovered, RunOptions,
 };
-use distconv_cost::{DistPlan, MachineSpec};
+use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, Planner};
 use distconv_simnet::MachineConfig;
+
+/// The per-layer greedy baseline the whole-network tuner is measured
+/// against: each layer's own [`Planner::plan`] pick, chained by
+/// [`NetworkPlan::from_layers`]. Panics if a layer cannot be planned.
+pub fn greedy_chain(layers: &[Conv2dProblem], machine: MachineSpec) -> NetworkPlan {
+    let picks = layers
+        .iter()
+        .map(|&p| Planner::new(p, machine).plan().unwrap());
+    NetworkPlan::from_layers(picks.collect()).unwrap()
+}
 
 /// Run one planned layer as a one-layer network with workload `seed`,
 /// verified against the sequential reference when `verify`. Panics if
@@ -33,7 +43,7 @@ fn run_layer(plan: DistPlan, seed: u64, cfg: MachineConfig, verify: bool) -> Net
     execute::<f64>(&plan.into(), seed, cfg, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// A verified one-layer run under [`recover`], degrading onto a greedy
+/// A verified one-layer run under [`recover`], degrading onto a
 /// re-plan over the survivors, accounted by [`mark_recovery`]; also
 /// returns the checkpoint redistribution onto the survivor plan.
 fn run_layer_recovering(
@@ -47,7 +57,7 @@ fn run_layer_recovering(
         &net,
         cfg,
         |n, c| execute::<f64>(n, seed, c, RunOptions::default()),
-        |p| NetworkPlan::plan(&[plan.problem], machine(p)).ok(),
+        |p| NetworkPlan::plan_tuned(&[plan.problem], machine(p)).ok(),
     )?;
     let redist = mark_recovery(&net, &mut done);
     Ok((done, redist))

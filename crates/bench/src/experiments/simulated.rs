@@ -538,7 +538,7 @@ pub fn e11_alpha_beta() -> Table {
 /// inter-layer redistribution cost the single-layer theory does not
 /// model. Exact measured == expected, end-to-end verified.
 pub fn e12_network() -> Table {
-    use distconv_core::{run_network, NetworkPlan};
+    use distconv_core::run_network;
     let mut t = Table::new(
         "E12 — multi-layer network: per-layer grids + redistribution tax",
         &[
@@ -558,7 +558,7 @@ pub fn e12_network() -> Table {
         Conv2dProblem::new(2, 16, 32, 10, 10, 3, 3, 1, 1),
     ];
     for procs in [1usize, 2, 4, 8] {
-        let plan = NetworkPlan::plan(&layers, MachineSpec::new(procs, 1 << 22)).unwrap();
+        let plan = super::greedy_chain(&layers, MachineSpec::new(procs, 1 << 22));
         let r = run_network::<f64>(&plan, 7, MachineConfig::default()).expect("verified");
         let fwd: u128 = r.expected_layers.iter().sum();
         let total = r.expected_total();
@@ -731,13 +731,13 @@ pub fn autotune_nets() -> Vec<(&'static str, Vec<Conv2dProblem>)> {
 }
 
 /// **E17 / whole-network autotuner**: greedy per-layer planning
-/// ([`NetworkPlan::plan`]) vs the DP over per-layer candidate grids
+/// ([`super::greedy_chain`]) vs the DP over per-layer candidate grids
 /// with exactly-costed inter-layer redistribution
-/// ([`NetworkPlan::plan_tuned`]), swept over `P` on three nets.
-/// Asserts tuned ≤ greedy at *every* point (the DP contains the greedy
-/// path), strictly lower somewhere, and — at the executed scales — that
-/// both plans run verified with element-exact measured redistribution
-/// (`NetworkReport::conformance`).
+/// ([`distconv_core::NetworkPlan::plan_tuned`]), swept over `P` on
+/// three nets. Asserts tuned ≤ greedy at *every* point (the DP
+/// contains the greedy path), strictly lower somewhere, and — at the
+/// executed scales — that both plans run verified with element-exact
+/// measured redistribution (`NetworkReport::conformance`).
 pub fn e17_autotune() -> Table {
     use distconv_core::{run_network, NetworkPlan};
     let mut t = Table::new(
@@ -758,7 +758,7 @@ pub fn e17_autotune() -> Table {
     for (name, layers) in autotune_nets() {
         for procs in [4usize, 16, 64, 256, 1024] {
             let machine = MachineSpec::new(procs, 1 << 22);
-            let greedy = NetworkPlan::plan(&layers, machine).unwrap();
+            let greedy = super::greedy_chain(&layers, machine);
             let tuned = NetworkPlan::plan_tuned(&layers, machine).unwrap();
             let (gc, tc) = (greedy.predicted_total_cost(), tuned.predicted_total_cost());
             assert!(

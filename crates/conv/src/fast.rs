@@ -37,7 +37,7 @@
 //! `(c, r, s)` products in exactly the reference kernel's ascending
 //! order, so results are *bitwise identical* to `conv_tile` /
 //! `conv2d_direct` — not merely within tolerance. Switching
-//! [`LocalKernel`](distconv_par::LocalKernel) therefore cannot perturb
+//! [`LocalKernel`] therefore cannot perturb
 //! golden results or traffic counters.
 
 use distconv_cost::Conv2dProblem;

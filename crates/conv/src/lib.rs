@@ -31,7 +31,7 @@
 //!
 //! Every kernel here is bitwise equal to the oracle, so executors pick
 //! between the two tile paths via
-//! [`LocalKernel`](distconv_par::LocalKernel) without changing a
+//! [`LocalKernel`] without changing a
 //! result (DESIGN.md §7).
 
 #![warn(missing_docs)]

@@ -30,7 +30,7 @@
 //! One executor runs it: [`execute`] takes a [`NetworkPlan`], and a
 //! single layer is a one-layer network (`NetworkPlan::from(plan)`).
 //! Between the layers of a chain it redistributes each layer's output
-//! into the next layer's input shards ([`network`]). [`recover`] wraps
+//! into the next layer's input shards ([`network`]). [`recover()`] wraps
 //! any run in bounded restarts and, on a persistent crash, a re-plan
 //! over the survivors; the training step ([`train`]) shares the same
 //! per-layer forward pass.

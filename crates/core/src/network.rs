@@ -47,29 +47,12 @@ pub struct NetworkPlan {
 
 impl NetworkPlan {
     /// Plan every layer of `problems` on `machine`, verifying that
-    /// consecutive layers are shape-compatible
-    /// (`out(i) == in(i+1)`: same batch, `N_k(i) = N_c(i+1)`, output
-    /// pixels = input pixels).
-    pub fn plan(problems: &[Conv2dProblem], machine: MachineSpec) -> Result<Self, NetworkError> {
-        check_shapes(problems)?;
-        let layers = problems
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                Planner::new(p, machine)
-                    .plan()
-                    .map_err(|e| NetworkError::Plan {
-                        layer: i,
-                        source: e,
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::from_layers(layers)
-    }
-
-    /// Plan the network as a whole: a dynamic program over each layer's
-    /// candidate set ([`Planner::candidates`] — the memory/communication
-    /// Pareto frontier plus the greedy winner) minimizing the
+    /// consecutive layers are shape-compatible (`out(i) == in(i+1)`:
+    /// same batch, `N_k(i) = N_c(i+1)`, output pixels = input pixels).
+    ///
+    /// A dynamic program over each layer's candidate set
+    /// ([`Planner::enumerate`]: every feasible grid the planner's search
+    /// visits, each with its own best tiling) minimizing the
     /// **network** objective
     ///
     /// ```text
@@ -77,13 +60,14 @@ impl NetworkPlan {
     /// ```
     ///
     /// in total elements moved (`cost_D` is per-processor, so it is
-    /// scaled by `P`; the redistribution term is already a total). The
-    /// per-layer greedy grid is always a candidate, so the tuned plan's
-    /// objective is ≤ the greedy [`NetworkPlan::plan`]'s by
-    /// construction — strictly lower whenever paying a slightly
-    /// sub-optimal layer grid (or a different Case 1/Case 2 regime)
-    /// avoids a larger inter-layer reshuffle, the whole-network effect
-    /// the single-layer paper does not model.
+    /// scaled by `P`; the redistribution term is already a total). Each
+    /// layer's own [`Planner::plan`] pick is a candidate, so the
+    /// objective is ≤ that per-layer greedy chain's by construction —
+    /// strictly lower whenever paying a slightly sub-optimal layer grid
+    /// (or a different Case 1/Case 2 regime) avoids a larger
+    /// inter-layer reshuffle, the whole-network effect the single-layer
+    /// paper does not model. A one-layer network has no redistribution
+    /// term, so it gets [`Planner::plan`]'s grid and tiling.
     pub fn plan_tuned(
         problems: &[Conv2dProblem],
         machine: MachineSpec,
@@ -94,7 +78,7 @@ impl NetworkPlan {
             .enumerate()
             .map(|(i, &p)| {
                 Planner::new(p, machine)
-                    .candidates()
+                    .enumerate()
                     .map_err(|e| NetworkError::Plan {
                         layer: i,
                         source: e,
@@ -500,7 +484,7 @@ impl<T> NetworkRun<T> {
 ///
 /// Machine failures (rank crash, deadlock, memory over-commit) surface
 /// as [`CoreError::Machine`] with every failed rank enumerated; wrap
-/// the call in [`crate::recover`] to retry or degrade.
+/// the call in [`crate::recover()`] to retry or degrade.
 pub fn execute<T: Scalar>(
     plan: &NetworkPlan,
     seed: u64,
@@ -710,17 +694,15 @@ mod tests {
         let mut bad = chain();
         bad[1] = Conv2dProblem::new(2, 8, 8, 5, 5, 3, 3, 1, 1);
         let machine = MachineSpec::new(4, 1 << 20);
-        for plan in [NetworkPlan::plan, NetworkPlan::plan_tuned] {
-            let err = plan(&bad, machine).unwrap_err();
-            let mismatch = matches!(err, NetworkError::ShapeMismatch { layer: 0, .. });
-            assert!(mismatch, "{err}");
-        }
+        let err = NetworkPlan::plan_tuned(&bad, machine).unwrap_err();
+        let mismatch = matches!(err, NetworkError::ShapeMismatch { layer: 0, .. });
+        assert!(mismatch, "{err}");
     }
 
     #[test]
     fn network_verified_and_volume_exact() {
         for procs in [1usize, 2, 4] {
-            let plan = NetworkPlan::plan(&chain(), MachineSpec::new(procs, 1 << 20)).unwrap();
+            let plan = NetworkPlan::plan_tuned(&chain(), MachineSpec::new(procs, 1 << 20)).unwrap();
             let r = run_network::<f64>(&plan, 13, MachineConfig::default()).expect("verified");
             assert!(r.verified, "P={procs}");
             // The two traffic classes are pinned separately: the
@@ -746,7 +728,10 @@ mod tests {
     fn tuned_plan_never_worse_and_runs_verified() {
         for procs in [2usize, 4, 8] {
             let machine = MachineSpec::new(procs, 1 << 20);
-            let greedy = NetworkPlan::plan(&chain(), machine).unwrap();
+            let picks = chain()
+                .into_iter()
+                .map(|p| Planner::new(p, machine).plan().unwrap());
+            let greedy = NetworkPlan::from_layers(picks.collect()).unwrap();
             let tuned = NetworkPlan::plan_tuned(&chain(), machine).unwrap();
             assert!(
                 tuned.predicted_total_cost() <= greedy.predicted_total_cost(),
@@ -763,7 +748,7 @@ mod tests {
 
     #[test]
     fn redistribution_volume_zero_on_single_rank() {
-        let plan = NetworkPlan::plan(&chain(), MachineSpec::new(1, 1 << 20)).unwrap();
+        let plan = NetworkPlan::plan_tuned(&chain(), MachineSpec::new(1, 1 << 20)).unwrap();
         assert_eq!(plan.total_redist(), 0);
     }
 
@@ -771,7 +756,7 @@ mod tests {
     fn redistribution_conserves_data() {
         // Total elements received across consumers must cover each In
         // shard exactly: Σ intersections (incl. self) = Σ |In shards|.
-        let plan = NetworkPlan::plan(&chain(), MachineSpec::new(4, 1 << 20)).unwrap();
+        let plan = NetworkPlan::plan_tuned(&chain(), MachineSpec::new(4, 1 << 20)).unwrap();
         for w in plan.layers.windows(2) {
             let (prev, next) = (&w[0], &w[1]);
             let procs = prev.grid.total();
@@ -811,8 +796,8 @@ mod tests {
         execute::<T>(plan, seed, cfg, opts).expect("one-layer run")
     }
 
-    /// A verified one-layer run under [`crate::recover`], degrading onto
-    /// a greedy re-plan over the survivors, accounted by
+    /// A verified one-layer run under [`crate::recover()`], degrading onto
+    /// a re-plan over the survivors, accounted by
     /// [`crate::mark_recovery`]; also returns its checkpoint
     /// redistribution.
     fn recovering_run(
@@ -830,7 +815,7 @@ mod tests {
             plan,
             cfg,
             |p, c| execute::<f64>(p, seed, c, RunOptions::default()),
-            |p| NetworkPlan::plan(&[l.problem], MachineSpec::new(p, l.machine.mem)).ok(),
+            |p| NetworkPlan::plan_tuned(&[l.problem], MachineSpec::new(p, l.machine.mem)).ok(),
         )
         .expect("must recover");
         let redist = crate::mark_recovery(plan, &mut done);

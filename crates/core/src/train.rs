@@ -122,7 +122,7 @@ impl TrainReport {
 ///
 /// The step inputs — weights, activations and upstream gradient — are
 /// all regenerable from `seed`, exactly the checkpointed state a real
-/// trainer restores, so [`crate::recover`] can restart it after a
+/// trainer restores, so [`crate::recover()`] can restart it after a
 /// crash; pass `|_| None` as its re-plan, since a training step never
 /// degrades.
 pub fn run_training_step<T: Scalar>(

@@ -15,7 +15,7 @@
 //! [`ShardGeometry`]: distconv_core::distribution::ShardGeometry
 
 use distconv_core::distribution::{out_range, shard_geometry};
-use distconv_core::redistribution_volume;
+use distconv_core::{redistribution_volume, NetworkPlan};
 use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, Planner};
 use distconv_par::proptest_mini::{check, Config, Gen};
 
@@ -56,9 +56,14 @@ fn arb_next(g: &mut Gen, prev: &Conv2dProblem) -> Conv2dProblem {
 
 /// Every grid/regime candidate the tuned planner would consider for
 /// `p` — empty when the machine cannot factor this layer (the property
-/// closure skips such draws).
+/// closure skips such draws). Also checks that tuning `p` as a
+/// one-layer network picks the planner's own grid and tiling.
 fn candidates(p: Conv2dProblem, machine: MachineSpec) -> Vec<DistPlan> {
-    Planner::new(p, machine).candidates().unwrap_or_default()
+    if let Ok(best) = Planner::new(p, machine).plan() {
+        let tuned = NetworkPlan::plan_tuned(&[p], machine).unwrap().layers[0];
+        assert_eq!((tuned.grid, tuned.t), (best.grid, best.t), "{p:?}");
+    }
+    Planner::new(p, machine).enumerate().unwrap_or_default()
 }
 
 /// The literal `O(P²)` definition: for every producer on the

@@ -4,16 +4,19 @@
 //! Steps (quoted from the paper's high-level sketch):
 //!
 //! 1. *"Determine the per-memory capacity `M_T` needed to hold the
-//!    tensors in a distributed manner, `M = M_D − M_T`."* — done as a
-//!    fixpoint iteration because `M_T` depends on the chosen `Out`
-//!    slice, which depends on the solution.
+//!    tensors in a distributed manner, `M = M_D − M_T`."* — `M_T` is
+//!    the `In`/`Ker` initial shards plus the `Out` slice
+//!    `N_k·N_bhw/P`. Neither depends on the grid, so it is evaluated
+//!    once, before the search.
 //! 2. *"Use the reduced capacity `M` to solve the global-memory
 //!    optimization problem."* — [`solve_table1`] with the deflated
 //!    [`ml_deflate`] capacity.
 //! 3. *"Determine parameters `P_b, P_k, P_c, P_h, P_w` to create a
-//!    logical multi-dimensional grid."* — integer search over divisor
-//!    grids near the real-valued optimum, scored by the exact Eq. 10
-//!    cost.
+//!    logical multi-dimensional grid."* — [`Planner::enumerate`], the
+//!    one integer search: every divisor pair `(P_k, P_c)` with one
+//!    `(P_b, P_h, P_w)` factorisation of the rest, scored by the exact
+//!    Eq. 10 cost and checked against Eq. 11. [`Planner::plan`],
+//!    [`Planner::pareto_frontier`] and the network tuner all read it.
 //! 4. The data distribution and communication schedule themselves are
 //!    realized by `distconv-core`; the plan carries everything it needs.
 
@@ -190,22 +193,38 @@ impl Planner {
         self
     }
 
-    /// Produce the best feasible plan.
-    ///
-    /// Enumerates candidate grids `(P_k, P_c, P_bhw)` over divisors near
-    /// the closed-form optimum — and, because divisor counts are small,
-    /// simply *all* of them — picking the feasible candidate with the
-    /// smallest exact `cost_D`. The closed form still decides `M_L`,
-    /// `regime` and the tile aspect targets; the enumeration is the
-    /// integer-rounding step the paper leaves implicit.
+    /// Produce the best feasible plan: the first `cost_D` minimum of
+    /// [`Planner::enumerate`]. Errors exactly when `enumerate` does.
     pub fn plan(&self) -> Result<DistPlan, PlanError> {
+        let all = self.enumerate()?;
+        let mut best = all[0];
+        for plan in &all[1..] {
+            if plan.predicted.cost_d < best.predicted.cost_d {
+                best = *plan;
+            }
+        }
+        Ok(best)
+    }
+
+    /// The planner's one grid search: every feasible plan, in search
+    /// order. For each `(P_k, P_c)` with `P_k | N_k`, `P_c | N_c` and
+    /// `P_k·P_c | P` it builds one grid, splitting `P / (P_k·P_c)` over
+    /// `(P_b, P_h, P_w)` by [`factor_into_grid`], and gives it its best
+    /// divisor tiling and exact Eq. 10/11 scores. The closed form sets
+    /// only `M_L`, `regime` and `analytic_cost`; the search is the
+    /// integer-rounding step the paper leaves implicit.
+    ///
+    /// `Ok` is never empty. With no feasible grid the error is
+    /// [`PlanError::InsufficientMemory`] (the smallest footprint any
+    /// grid needed) if some grid factored, else
+    /// [`PlanError::Unfactorable`].
+    pub fn enumerate(&self) -> Result<Vec<DistPlan>, PlanError> {
         let p = &self.problem;
         let procs = self.machine.p;
 
-        // Step 1 (fixpoint): estimate M_T, reduce, re-solve. M_T depends
-        // only on the Out-slice size WkWbhw = NkNbhw/P — identical for
-        // every grid — plus the fixed In/Ker initial shards, so one pass
-        // is exact; we keep the loop for clarity and safety.
+        // Step 1: M_T is the fixed In/Ker initial shards plus the Out
+        // slice W_k·W_bhw = N_k·N_bhw/P. Neither depends on the grid, so
+        // one evaluation is exact.
         let fixed_init = (p.size_in_paper() + p.size_ker()) as f64 / procs as f64;
         let out_slice = (p.size_out() as f64) / procs as f64;
         let m_t = fixed_init + out_slice;
@@ -213,26 +232,22 @@ impl Planner {
         let m_l = ml_deflate(m_for_tiles, p);
         let closed = solve_table1(p, procs, m_l);
 
-        let mut best: Option<DistPlan> = None;
+        let mut out = Vec::new();
         let mut min_needed: u128 = u128::MAX;
-
         for pk in divisors(p.nk) {
             if pk > procs || !procs.is_multiple_of(pk) {
                 continue;
             }
             for pc in divisors(p.nc) {
-                if let Some(forced) = self.force_pc {
-                    if pc != forced {
-                        continue;
-                    }
+                if self.force_pc.is_some_and(|forced| pc != forced) {
+                    continue;
                 }
                 if pk * pc > procs || !procs.is_multiple_of(pk * pc) {
                     continue;
                 }
-                let pbhw = procs / (pk * pc);
                 // Factor P_bhw into (Pb, Ph, Pw): batch first (cheapest
                 // to split: no halo), then h, then w.
-                let Some(g) = factor_into_grid(pbhw, &[p.nb, p.nh, p.nw]) else {
+                let Some(g) = factor_into_grid(procs / (pk * pc), &[p.nb, p.nh, p.nw]) else {
                     continue;
                 };
                 let (pb, ph, pw) = (g[0], g[1], g[2]);
@@ -252,96 +267,6 @@ impl Planner {
                 let gd = eq11_footprint_gd(p, &w, &t, procs);
                 if gd > self.machine.mem as f64 {
                     min_needed = min_needed.min(gd as u128);
-                    continue;
-                }
-                let cost_i = eq10_cost_i(p, &w, procs);
-                let cost_c = eq10_cost_c(p, &w, &t);
-                let plan = DistPlan {
-                    problem: *p,
-                    machine: self.machine,
-                    regime: regime_of_grid(pc, &w, &t),
-                    grid,
-                    w,
-                    t,
-                    m_l,
-                    analytic_cost: closed.cost,
-                    predicted: PredictedCost {
-                        cost_i,
-                        cost_c,
-                        cost_d: cost_i + cost_c,
-                        cost_gvm: eq3_cost(p, &w, &t).total(),
-                        footprint_gd: gd,
-                        footprint_g: eq3_footprint_g(p, &t) as f64,
-                    },
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| plan.predicted.cost_d < b.predicted.cost_d)
-                {
-                    best = Some(plan);
-                }
-            }
-        }
-
-        best.ok_or({
-            if min_needed == u128::MAX {
-                PlanError::Unfactorable { p: procs }
-            } else {
-                PlanError::InsufficientMemory {
-                    needed: min_needed,
-                    available: self.machine.mem as u128,
-                }
-            }
-        })
-    }
-}
-
-/// Classify a concrete grid the way Sec. 2.2 does: `P_c = 1` is the
-/// 2D-SUMMA family; `P_c > 1` with `T = W` on `k`/`bhw` is 3D; `P_c > 1`
-/// with genuine sub-tiling is 2.5D.
-impl Planner {
-    /// Enumerate every feasible candidate plan the search considers
-    /// (same space as [`Planner::plan`], without picking a winner).
-    /// Used by the Pareto-frontier analysis; candidates are returned
-    /// unordered.
-    pub fn enumerate(&self) -> Vec<DistPlan> {
-        let p = &self.problem;
-        let procs = self.machine.p;
-        let fixed_init = (p.size_in_paper() + p.size_ker()) as f64 / procs as f64;
-        let out_slice = (p.size_out() as f64) / procs as f64;
-        let m_for_tiles = (self.machine.mem as f64 - fixed_init - out_slice).max(1.0);
-        let m_l = ml_deflate(m_for_tiles, p);
-        let closed = solve_table1(p, procs, m_l);
-        let mut out = Vec::new();
-        for pk in divisors(p.nk) {
-            if pk > procs || !procs.is_multiple_of(pk) {
-                continue;
-            }
-            for pc in divisors(p.nc) {
-                if let Some(forced) = self.force_pc {
-                    if pc != forced {
-                        continue;
-                    }
-                }
-                if pk * pc > procs || !procs.is_multiple_of(pk * pc) {
-                    continue;
-                }
-                let pbhw = procs / (pk * pc);
-                let Some(g) = factor_into_grid(pbhw, &[p.nb, p.nh, p.nw]) else {
-                    continue;
-                };
-                let (pb, ph, pw) = (g[0], g[1], g[2]);
-                if !p.nb.is_multiple_of(pb) || !p.nh.is_multiple_of(ph) || !p.nw.is_multiple_of(pw)
-                {
-                    continue;
-                }
-                let grid = GridShape { pb, pk, pc, ph, pw };
-                let w = Partition::new(p.nb / pb, p.nk / pk, p.nc / pc, p.nh / ph, p.nw / pw);
-                let Some(t) = best_tiling(p, &w, m_for_tiles) else {
-                    continue;
-                };
-                let gd = eq11_footprint_gd(p, &w, &t, procs);
-                if gd > self.machine.mem as f64 {
                     continue;
                 }
                 let cost_i = eq10_cost_i(p, &w, procs);
@@ -366,14 +291,25 @@ impl Planner {
                 });
             }
         }
-        out
+
+        if !out.is_empty() {
+            Ok(out)
+        } else if min_needed == u128::MAX {
+            Err(PlanError::Unfactorable { p: procs })
+        } else {
+            Err(PlanError::InsufficientMemory {
+                needed: min_needed,
+                available: self.machine.mem as u128,
+            })
+        }
     }
 
     /// The memory/communication **Pareto frontier** over all feasible
     /// grids: plans sorted by increasing memory footprint `g_D`, none
     /// strictly costlier in `cost_D` than a smaller-footprint plan —
     /// the CNN incarnation of the matmul family's replication knob,
-    /// exposed as a queryable set rather than a single winner.
+    /// exposed as a queryable set rather than a single winner. Empty
+    /// when [`Planner::plan`] fails.
     ///
     /// Deduplication is by the full **grid tuple**, not the
     /// `(cost_D, g_D)` scalars: two *different* grids with identical
@@ -383,7 +319,7 @@ impl Planner {
     /// is strictly beaten on cost at no more memory — or that repeats
     /// a grid already present — is dropped.
     pub fn pareto_frontier(&self) -> Vec<DistPlan> {
-        let mut all = self.enumerate();
+        let mut all = self.enumerate().unwrap_or_default();
         all.sort_by(|a, b| {
             a.predicted
                 .footprint_gd
@@ -403,35 +339,11 @@ impl Planner {
         }
         frontier
     }
-
-    /// The whole-network autotuner's per-layer candidate set: every
-    /// feasible grid (one plan per grid, each with its own best
-    /// tiling), guaranteed to contain the greedy [`Planner::plan`]
-    /// winner.
-    ///
-    /// This is deliberately wider than [`Planner::pareto_frontier`]:
-    /// the frontier (which dedupes by the full grid tuple, so
-    /// same-cost alternate grids *are* retained) still drops any grid
-    /// strictly beaten on `cost_D` by a smaller-footprint plan — but
-    /// the network DP needs **every** feasible grid, because
-    /// inter-layer redistribution volume depends on how the grid
-    /// shards data, not on what it costs. A locally costlier grid
-    /// that happens to align with the neighbouring layer is exactly
-    /// the candidate the tuner exists to find. Errors exactly when
-    /// `plan()` does.
-    pub fn candidates(&self) -> Result<Vec<DistPlan>, PlanError> {
-        let greedy = self.plan()?;
-        let mut cands = self.enumerate();
-        if !cands
-            .iter()
-            .any(|c| c.grid == greedy.grid && c.t == greedy.t)
-        {
-            cands.push(greedy);
-        }
-        Ok(cands)
-    }
 }
 
+/// Classify a concrete grid the way Sec. 2.2 does: `P_c = 1` is the
+/// 2D-SUMMA family; `P_c > 1` with `T = W` on `k`/`bhw` is 3D; `P_c > 1`
+/// with genuine sub-tiling is 2.5D.
 fn regime_of_grid(pc: usize, w: &Partition, t: &Tiling) -> Regime {
     if pc == 1 {
         Regime::Summa2D
@@ -578,37 +490,16 @@ mod tests {
     }
 
     #[test]
-    fn pareto_frontier_is_monotone_and_contains_best() {
-        let planner = Planner::new(layer(), MachineSpec::new(16, 1 << 22));
-        let frontier = planner.pareto_frontier();
-        assert!(!frontier.is_empty());
-        for w in frontier.windows(2) {
-            assert!(w[0].predicted.footprint_gd <= w[1].predicted.footprint_gd);
-            assert!(
-                w[1].predicted.cost_d <= w[0].predicted.cost_d,
-                "frontier cost must be non-increasing as memory grows"
-            );
-            // Cost ties are only allowed between *distinct* grids —
-            // the frontier dedupes by the full grid tuple.
-            if w[1].predicted.cost_d == w[0].predicted.cost_d {
-                assert_ne!(
-                    w[0].grid, w[1].grid,
-                    "same-cost frontier entries must differ"
-                );
-            }
-        }
-        // The planner's pick is the frontier's cheapest point.
-        let best = planner.plan().unwrap();
-        let cheapest = frontier.last().unwrap();
-        assert_eq!(best.predicted.cost_d, cheapest.predicted.cost_d);
-    }
-
-    #[test]
     fn pareto_frontier_is_dominance_free_and_contains_greedy() {
         for (procs, mem) in [(8usize, 1usize << 18), (16, 1 << 20), (16, 1 << 22)] {
             let planner = Planner::new(layer(), MachineSpec::new(procs, mem));
             let frontier = planner.pareto_frontier();
             assert!(!frontier.is_empty(), "P={procs} mem={mem}");
+            // Sorted by footprint, cost non-increasing as memory grows.
+            for w in frontier.windows(2) {
+                assert!(w[0].predicted.footprint_gd <= w[1].predicted.footprint_gd);
+                assert!(w[1].predicted.cost_d <= w[0].predicted.cost_d);
+            }
             // Dominance-free: no plan *strictly* beats another on cost
             // at no more memory. Same-cost ties are legal — they carry
             // distinct grids — so only strict cost domination is banned
@@ -637,12 +528,6 @@ mod tests {
                 frontier.last().unwrap().predicted.cost_d,
                 "P={procs} mem={mem}"
             );
-            // And candidates() always carries the greedy *grid* itself.
-            let cands = planner.candidates().unwrap();
-            assert!(cands
-                .iter()
-                .any(|c| c.grid == greedy.grid && c.t == greedy.t));
-            assert!(cands.len() >= frontier.len());
         }
     }
 
@@ -678,8 +563,7 @@ mod tests {
     #[test]
     fn forced_pc_propagates_through_enumeration_and_frontier() {
         let planner = Planner::new(layer(), MachineSpec::new(16, 1 << 22)).with_forced_pc(2);
-        let all = planner.enumerate();
-        assert!(!all.is_empty());
+        let all = planner.enumerate().unwrap();
         assert!(all.iter().all(|c| c.grid.pc == 2));
         assert!(all.iter().all(|c| c.regime != Regime::Summa2D));
         let frontier = planner.pareto_frontier();
@@ -703,17 +587,6 @@ mod tests {
             .plan()
             .unwrap_err();
         assert_eq!(err, PlanError::Unfactorable { p: 16 });
-    }
-
-    #[test]
-    fn enumerate_covers_plan_choice() {
-        let planner = Planner::new(layer(), MachineSpec::new(16, 1 << 20));
-        let best = planner.plan().unwrap();
-        let all = planner.enumerate();
-        assert!(all.iter().any(|c| c.grid == best.grid && c.t == best.t));
-        assert!(all
-            .iter()
-            .all(|c| c.predicted.cost_d >= best.predicted.cost_d));
     }
 
     #[test]

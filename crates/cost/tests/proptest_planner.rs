@@ -139,3 +139,33 @@ fn forced_pc_never_beats_free_planner() {
         },
     );
 }
+
+#[test]
+fn plan_is_the_first_minimum_of_enumerate() {
+    check(
+        "plan_is_the_first_minimum_of_enumerate",
+        Config::with_cases(2048),
+        |g| {
+            let p = arb_problem(g);
+            // Any P up to 70: primes and odd counts as well as powers of two.
+            let machine = MachineSpec::new(g.usize_in(1, 70), 1usize << g.u32_in(10, 22));
+            let planner = Planner::new(p, machine);
+            match (planner.plan(), planner.enumerate()) {
+                (Ok(best), Ok(all)) => {
+                    let min = all
+                        .iter()
+                        .map(|c| c.predicted.cost_d)
+                        .fold(f64::MAX, f64::min);
+                    assert_eq!(
+                        best,
+                        *all.iter().find(|c| c.predicted.cost_d == min).unwrap()
+                    );
+                    assert!(all.iter().all(|c| c.grid.total() == machine.p
+                        && c.predicted.footprint_gd <= machine.mem as f64));
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("plan {a:?} vs enumerate {:?}", b.map(|all| all.len())),
+            }
+        },
+    );
+}

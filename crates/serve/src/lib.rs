@@ -17,7 +17,7 @@
 //!   [`distconv_core::batch::dispatch_batch`]; concurrent tenants
 //!   share cores through the `distconv-par` thread-budget arbiter
 //!   (each simulated machine registers its ranks; pools divide).
-//! * **Recovery** — every batch runs through [`distconv_core::recover`]:
+//! * **Recovery** — every batch runs through [`distconv_core::recover()`]:
 //!   a rank killed mid-batch triggers bounded replays
 //!   (bitwise-identical by the batch-seed contract) and, for
 //!   persistent faults, a degraded re-plan over the survivors. The

@@ -14,7 +14,7 @@
 //!   admission order — the property the replay/chaos tests pin.
 //! * **Cluster workers** (`ServeConfig::clusters` threads) pop formed
 //!   batches and run them on their own simulated machine through
-//!   [`distconv_core::recover`], recovering from injected crashes by
+//!   [`distconv_core::recover()`], recovering from injected crashes by
 //!   replay or degraded re-plan, and keep a model's survivor plan for
 //!   its later batches once a persistent crash has shrunk it.
 //!

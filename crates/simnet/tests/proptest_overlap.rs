@@ -225,7 +225,7 @@ fn gvm_executor_overlap_equivalent_under_crash_recovery() {
                     &net,
                     cfg,
                     |n, c| execute::<f64>(n, seed, c, opts),
-                    |p| NetworkPlan::plan(&[plan.problem], machine(p)).ok(),
+                    |p| NetworkPlan::plan_tuned(&[plan.problem], machine(p)).ok(),
                 )
                 .expect("recovery failed")
                 .value

@@ -1,6 +1,6 @@
 //! A multi-layer network, forward pass, fully distributed: each layer
-//! gets its own optimal grid and the activations are redistributed
-//! between grids. Shows the per-layer volumes, the redistribution tax,
+//! gets its own grid, chosen by the whole-network tuner, and the
+//! activations are redistributed between grids. Shows the per-layer volumes, the redistribution tax,
 //! and the end-to-end verification against a chained sequential
 //! reference.
 //!
@@ -27,8 +27,8 @@ fn main() {
         Conv2dProblem::new(2, 16, 32, 10, 10, 3, 3, 1, 1),
     ];
 
-    let plan =
-        NetworkPlan::plan(&layers, MachineSpec::new(procs, 1 << 22)).expect("network plannable");
+    let plan = NetworkPlan::plan_tuned(&layers, MachineSpec::new(procs, 1 << 22))
+        .expect("network plannable");
     println!("P = {procs}\n");
     println!(
         "{:<8} {:>24} {:>8} {:>14} {:>14}",
@@ -67,7 +67,7 @@ fn main() {
     );
     println!("peak memory         : {} elems/rank", r.max_peak_mem);
     println!(
-        "\nReading: per-layer optimal grids differ (early layers split pixels,\n\
+        "\nReading: per-layer grids differ (early layers split pixels,\n\
          late layers split channels/features), and the activation redistribution\n\
          between grids is a real, measured cost the single-layer theory does not\n\
          model — reported here as a first-class line item."

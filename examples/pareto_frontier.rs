@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("layer {p:?}, P = {procs}");
     println!(
         "{} feasible grids, {} on the Pareto frontier\n",
-        planner.enumerate().len(),
+        planner.enumerate().map_or(0, |all| all.len()),
         frontier.len()
     );
     println!(

@@ -187,7 +187,7 @@ fn persistent_crash_finishes_degraded_on_the_event_backend() {
         &net,
         cfg,
         |n, c| execute::<f64>(n, 7, c, RunOptions::default()),
-        |procs| NetworkPlan::plan(&[p], MachineSpec::new(procs, plan.machine.mem)).ok(),
+        |procs| NetworkPlan::plan_tuned(&[p], MachineSpec::new(procs, plan.machine.mem)).ok(),
     )
     .expect("must finish degraded, not fail");
     let redist_elems = mark_recovery(&net, &mut done);

@@ -62,7 +62,7 @@ fn stress_deep_network() {
         c = k;
         hw -= 2;
     }
-    let plan = NetworkPlan::plan(&layers, MachineSpec::new(8, 1 << 24)).unwrap();
+    let plan = NetworkPlan::plan_tuned(&layers, MachineSpec::new(8, 1 << 24)).unwrap();
     let r = run_network::<f64>(&plan, 3, MachineConfig::default()).expect("verified");
     assert!(r.verified);
     assert_eq!(r.measured_total(), r.expected_total());
