@@ -225,13 +225,12 @@ mod tests {
         };
         CoreError::Machine(RunError {
             failures: vec![
-                failure(0, FailureKind::Starved),
+                failure(0, FailureKind::Deadlock),
                 failure(dead, FailureKind::Crash),
             ],
             fault_seed: 7,
             wasted_msgs: 1,
             wasted_elems: wasted,
-            detections: Vec::new(),
         })
     }
 

@@ -3,20 +3,20 @@
 //! A [`Communicator`] is an ordered subset of the machine's ranks, like
 //! an `MPI_Comm`. Collectives are implemented with the standard
 //! algorithms — binomial trees for broadcast/reduce, direct exchange for
-//! reduce-scatter/gather/scatter/all-to-all, a ring for all-gather, and
-//! reduce-scatter + all-gather for large all-reduce — **on top of the
-//! point-to-point layer**, so every element a collective moves is
-//! counted by the machine's [`crate::Stats`] along its real path.
+//! reduce-scatter, a ring for all-gather, and reduce-scatter +
+//! all-gather for large all-reduce — **on top of the point-to-point
+//! layer**, so every element a collective moves is counted by the
+//! machine's [`crate::Stats`] along its real path.
 //!
 //! ### Volume cheat-sheet (n members, payload of `v` elements)
 //!
-//! | collective        | total inter-rank volume        |
-//! |-------------------|--------------------------------|
-//! | `bcast`           | `(n−1)·v`                      |
-//! | `reduce`          | `(n−1)·v`                      |
-//! | `allgather` (ring)| `(n−1)·Σ chunk = (n−1)·v`      |
-//! | `reduce_scatter`  | `Σ_i (v − chunk_i) ≈ (n−1)/n·v·n` |
-//! | `allreduce`       | `≈ 2·(n−1)/n·v·n` (large), `2(n−1)v` (tree, small) |
+//! | collective                 | total inter-rank volume        |
+//! |----------------------------|--------------------------------|
+//! | `bcast`                    | `(n−1)·v`                      |
+//! | `reduce`                   | `(n−1)·v`                      |
+//! | `allgather_varying` (ring) | `(n−1)·Σ chunk = (n−1)·v`      |
+//! | `reduce_scatter`           | `Σ_i (v − chunk_i) ≈ (n−1)/n·v·n` |
+//! | `allreduce`                | `≈ 2·(n−1)/n·v·n` (large), `2(n−1)v` (tree, small) |
 //!
 //! The tests pin these counts exactly.
 //!
@@ -35,17 +35,16 @@ use std::cell::Cell;
 const COLL_BIT: u64 = 1 << 63;
 
 /// Collective operation codes (folded into tags for cross-talk safety).
+/// The values are explicit and never reused, so a collective's tags do
+/// not change when another operation is added or removed.
 #[derive(Clone, Copy)]
 #[repr(u8)]
 enum Op {
     Bcast = 1,
     Reduce = 2,
-    Gather = 3,
-    Scatter = 4,
     AllGather = 5,
     ReduceScatter = 6,
     Barrier = 7,
-    AllToAll = 8,
     SendRecv = 9,
 }
 
@@ -194,16 +193,6 @@ impl<'a, T: Msg> Communicator<'a, T> {
     /// This rank's index within the communicator (`0..size`).
     pub fn me(&self) -> usize {
         self.me
-    }
-
-    /// The ordered member list (world rank ids).
-    pub fn members(&self) -> &[RankId] {
-        &self.members
-    }
-
-    /// World rank id of member index `i`.
-    pub fn world_rank(&self, i: usize) -> RankId {
-        self.members[i]
     }
 
     fn next_tag(&self, op: Op) -> Tag {
@@ -460,71 +449,6 @@ impl<'a, T: Msg> Communicator<'a, T> {
         out
     }
 
-    /// Convenience all-gather of equal-size chunks, flattened in member
-    /// order.
-    pub fn allgather(&self, mine: &[T]) -> Vec<T> {
-        self.allgather_varying(mine).concat()
-    }
-
-    /// Gather per-member chunks to member `root`; returns `Some(chunks)`
-    /// on the root, `None` elsewhere. Direct sends.
-    pub fn gather(&self, root: usize, mine: &[T]) -> Option<Vec<Vec<T>>> {
-        let n = self.size();
-        let tag = self.next_tag(Op::Gather);
-        if self.me != root {
-            self.send_m(root, tag, mine);
-            return None;
-        }
-        let mut out: Vec<Vec<T>> = vec![Vec::new(); n];
-        out[root] = mine.to_vec();
-        for (j, slot) in out.iter_mut().enumerate() {
-            if j != root {
-                *slot = self.recv_m(j, tag);
-            }
-        }
-        Some(out)
-    }
-
-    /// Scatter chunks from member `root` (which passes `Some(chunks)`,
-    /// one per member; others pass `None`). Returns this member's chunk.
-    pub fn scatter(&self, root: usize, chunks: Option<&[Vec<T>]>) -> Vec<T> {
-        let n = self.size();
-        let tag = self.next_tag(Op::Scatter);
-        if self.me == root {
-            let chunks = chunks.expect("root must provide chunks");
-            assert_eq!(chunks.len(), n, "one chunk per member");
-            for (j, chunk) in chunks.iter().enumerate() {
-                if j != root {
-                    self.send_m(j, tag, chunk);
-                }
-            }
-            chunks[root].clone()
-        } else {
-            self.recv_m(root, tag)
-        }
-    }
-
-    /// All-to-all personalized exchange: `outgoing[j]` goes to member
-    /// `j`; returns the chunks received, indexed by source member.
-    pub fn alltoall(&self, outgoing: &[Vec<T>]) -> Vec<Vec<T>> {
-        let n = self.size();
-        assert_eq!(outgoing.len(), n, "one outgoing chunk per member");
-        let tag = self.next_tag(Op::AllToAll);
-        let mut incoming: Vec<Vec<T>> = vec![Vec::new(); n];
-        incoming[self.me] = outgoing[self.me].clone();
-        for (j, chunk) in outgoing.iter().enumerate() {
-            if j != self.me {
-                self.send_m(j, tag, chunk);
-            }
-        }
-        for (j, slot) in incoming.iter_mut().enumerate() {
-            if j != self.me {
-                *slot = self.recv_m(j, tag);
-            }
-        }
-        incoming
-    }
-
     /// Simultaneous exchange: send `data` to member `dst` and receive
     /// the message member `src` sent us, without deadlocking (send
     /// first — the transport is buffered). The shift primitive of
@@ -643,11 +567,6 @@ pub struct PendingBcast<'c, 'a, T: Msg> {
 }
 
 impl<T: Msg> PendingBcast<'_, '_, T> {
-    /// The posting root (member index).
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
     /// Complete the broadcast: the root gets its payload back, other
     /// members block for their parent's message, forward it down their
     /// subtree, and return it.
@@ -676,11 +595,6 @@ pub struct PendingRecv<'c, 'a, T: Msg> {
 }
 
 impl<T: Msg> PendingRecv<'_, '_, T> {
-    /// The posted source (member index).
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
     /// Block until the partner's message arrives and return it.
     pub fn wait(self) -> Vec<T> {
         self.comm.recv_m(self.src, self.tag)
@@ -820,40 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_roundtrip() {
-        let p = 5;
-        let r = run_world(p, |comm| {
-            let mine = vec![comm.me() as f64 + 0.5];
-            let gathered = comm.gather(2, &mine);
-            if comm.me() == 2 {
-                let chunks = gathered.unwrap();
-                comm.scatter(2, Some(&chunks))
-            } else {
-                assert!(gathered.is_none());
-                comm.scatter(2, None)
-            }
-        });
-        for (i, res) in r.results.iter().enumerate() {
-            assert_eq!(res, &vec![i as f64 + 0.5]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let p = 4;
-        let r = run_world(p, |comm| {
-            let outgoing: Vec<Vec<f64>> =
-                (0..p).map(|j| vec![(comm.me() * 10 + j) as f64]).collect();
-            comm.alltoall(&outgoing)
-        });
-        for (i, res) in r.results.iter().enumerate() {
-            for (j, chunk) in res.iter().enumerate() {
-                assert_eq!(chunk, &vec![(j * 10 + i) as f64], "rank {i} from {j}");
-            }
-        }
-    }
-
-    #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let before = AtomicUsize::new(0);
@@ -974,9 +854,7 @@ mod tests {
                         } else {
                             Vec::new()
                         };
-                        let pending = comm.ibcast(root, data);
-                        assert_eq!(pending.root(), root);
-                        pending.wait()
+                        comm.ibcast(root, data).wait()
                     })
                 };
                 assert_eq!(blocking.results, pipelined.results, "p={p} root={root}");
@@ -1015,9 +893,7 @@ mod tests {
         let pipelined = run_world(p, |comm| {
             let right = (comm.me() + 1) % comm.size();
             let left = (comm.me() + comm.size() - 1) % comm.size();
-            let pending = comm.isendrecv(right, left, vec![comm.me() as f64]);
-            assert_eq!(pending.src(), left);
-            pending.wait()[0]
+            comm.isendrecv(right, left, vec![comm.me() as f64]).wait()[0]
         });
         assert_eq!(blocking.results, pipelined.results);
         assert_eq!(blocking.stats, pipelined.stats);

@@ -32,8 +32,9 @@
 //!
 //! * **Results** — message matching is by `(source, tag)` with per-pair
 //!   FIFO, so the value each receive returns is a pure function of the
-//!   program, not of arrival interleaving. (`recv_any` is the one
-//!   order-sensitive primitive; no algorithm in the workspace uses it.)
+//!   program, not of arrival interleaving. The simulator has no
+//!   any-source receive, the one primitive whose result would depend on
+//!   the schedule.
 //! * **Counters** — `Stats` records logical sends at the sender, keyed
 //!   by nothing temporal.
 //! * **Virtual time** — the Lamport clock advances by `α + β·n` per

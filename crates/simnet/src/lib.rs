@@ -12,10 +12,11 @@
 //! facility is explicit message passing ([`Rank::send`] /
 //! [`Rank::recv`]), exactly the partitioned-memory semantics of the
 //! paper's Sec. 2.2. On top of point-to-point messages,
-//! [`Communicator`] provides MPI-style collectives (broadcast, reduce,
-//! all-reduce, gather, scatter, all-gather, reduce-scatter, barrier,
-//! all-to-all) implemented with standard tree/ring algorithms — so
-//! measured communication *volumes* are those of a real MPI stack.
+//! [`Communicator`] provides the MPI-style collectives the executors
+//! use (broadcast, reduce, all-reduce, all-gather, reduce-scatter,
+//! barrier, and the shift exchange `sendrecv`), implemented with
+//! standard tree/ring algorithms — so measured communication *volumes*
+//! are those of a real MPI stack.
 //!
 //! ## What is measured
 //!
@@ -54,7 +55,6 @@ pub mod channel;
 pub mod comm;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod coro;
-pub mod detect;
 pub mod event;
 pub mod fault;
 pub mod grid;
@@ -64,7 +64,6 @@ pub mod rank;
 pub mod stats;
 
 pub use comm::{BcastAlgo, CommError, Communicator, PendingBcast, PendingRecv};
-pub use detect::{Detection, DetectionKind, DetectorConfig};
 pub use event::{Backend, ComputeModel};
 pub use fault::{CrashAt, FaultPlan, FaultPlanError, Straggler, CRASH_MARKER, MAX_SEND_ATTEMPTS};
 pub use grid::CartGrid;
@@ -72,5 +71,5 @@ pub use machine::{
     FailureKind, LinkDelay, Machine, MachineConfig, RankFailure, RunError, RunReport,
 };
 pub use memory::{MemLease, MemoryError, MemoryTracker};
-pub use rank::{Msg, Rank, RankId, RecvHandle, SendHandle, Tag, TrafficClass};
+pub use rank::{Msg, Rank, RankId, Tag, TrafficClass};
 pub use stats::{CostParams, FaultTraffic, RedistTraffic, Stats, StatsSnapshot, TimingSnapshot};

@@ -13,13 +13,12 @@
 //! collectives.
 
 use crate::channel::unbounded;
-use crate::detect::{classify_failed_run, detect_stragglers, Detection, DetectorConfig};
 use crate::event::{Backend, ComputeModel, EventScheduler};
 use crate::fault::{FaultPlan, CRASH_MARKER};
 use crate::memory::MemoryTracker;
 use crate::rank::{Msg, Packet, Rank, RankId};
 use crate::stats::{CostParams, Stats, StatsSnapshot, TimingSnapshot};
-use distconv_trace::{RunTrace, SpanEvent, SpanKind, TraceConfig, Tracer};
+use distconv_trace::{RunTrace, TraceConfig, Tracer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,9 +46,6 @@ pub struct MachineConfig {
     /// Virtual-clock charge for compute sections (default: off — the
     /// clock is pure α–β communication time).
     pub compute: ComputeModel,
-    /// Virtual-time failure detector (default: off — see
-    /// [`crate::detect`]).
-    pub detector: DetectorConfig,
 }
 
 impl Default for MachineConfig {
@@ -63,7 +59,6 @@ impl Default for MachineConfig {
             trace: TraceConfig::default(),
             backend: Backend::from_env(),
             compute: ComputeModel::default(),
-            detector: DetectorConfig::default(),
         }
     }
 }
@@ -143,9 +138,6 @@ pub struct RunReport<R> {
     /// Wall-clock fields are host-dependent; the canonical view
     /// (`RunTrace::canonical`) is deterministic.
     pub trace: RunTrace,
-    /// Failure-detector verdicts on a run that *finished* (stragglers
-    /// only — a crash fails the run). Empty with the detector disabled.
-    pub detections: Vec<Detection>,
 }
 
 impl<R> RunReport<R> {
@@ -164,13 +156,6 @@ pub enum FailureKind {
     Deadlock,
     /// Memory capacity exceeded.
     OutOfMemory,
-    /// The deadlock trap fired, but a crashed peer explains the
-    /// silence: this rank starved waiting on a corpse, it did not
-    /// deadlock. Only produced with the failure detector enabled —
-    /// with it off, classification is textual and these ranks report
-    /// [`FailureKind::Deadlock`], exactly as before the detector
-    /// existed.
-    Starved,
     /// Any other panic out of the rank body.
     Other,
 }
@@ -199,9 +184,6 @@ pub struct RunError {
     pub wasted_msgs: u64,
     /// Elements recorded before the run died.
     pub wasted_elems: u64,
-    /// Failure-detector verdicts with simulated-time timestamps (empty
-    /// with the detector disabled — the default).
-    pub detections: Vec<Detection>,
 }
 
 impl RunError {
@@ -223,7 +205,7 @@ impl RunError {
     pub fn dead_ranks(&self) -> Vec<RankId> {
         self.failures
             .iter()
-            .filter(|f| !matches!(f.kind, FailureKind::Deadlock | FailureKind::Starved))
+            .filter(|f| f.kind != FailureKind::Deadlock)
             .map(|f| f.rank)
             .collect()
     }
@@ -360,9 +342,6 @@ impl Machine {
                     .expect("rank bodies never panic holding the panic list")
                     .push((id, e)),
             }
-            // Store the final clock on the panic path too: a victim's
-            // clock-at-death is what the failure detector timestamps its
-            // detection from.
             clocks[id].store(rank.clock().to_bits(), std::sync::atomic::Ordering::Relaxed);
             // Hand the floor off even when the body panicked — otherwise
             // one crashed rank would wedge the run.
@@ -404,10 +383,6 @@ impl Machine {
             }),
         }
 
-        let final_clocks: Vec<f64> = clocks
-            .iter()
-            .map(|c| f64::from_bits(c.load(std::sync::atomic::Ordering::Relaxed)))
-            .collect();
         let panics = panics.into_inner().unwrap();
         if !panics.is_empty() {
             let mut failures: Vec<RankFailure> = panics
@@ -422,77 +397,30 @@ impl Machine {
                 })
                 .collect();
             failures.sort_by_key(|f| f.rank);
-            let detections = if cfg.detector.enabled {
-                let crashed: Vec<RankId> = failures
-                    .iter()
-                    .filter(|f| f.kind == FailureKind::Crash)
-                    .map(|f| f.rank)
-                    .collect();
-                let starved: Vec<RankId> = failures
-                    .iter()
-                    .filter(|f| f.kind == FailureKind::Deadlock)
-                    .map(|f| f.rank)
-                    .collect();
-                if !crashed.is_empty() {
-                    // A crash explains the silence: deadlock-trapped
-                    // survivors starved on a corpse, they did not
-                    // deadlock among themselves.
-                    for f in &mut failures {
-                        if f.kind == FailureKind::Deadlock {
-                            f.kind = FailureKind::Starved;
-                        }
-                    }
-                }
-                classify_failed_run(&cfg.detector, &crashed, &starved, &final_clocks)
-            } else {
-                Vec::new()
-            };
             let partial = stats.snapshot();
             return Err(RunError {
                 failures,
                 fault_seed: cfg.faults.seed,
                 wasted_msgs: partial.total_msgs(),
                 wasted_elems: partial.total_elems(),
-                detections,
             });
         }
 
         let snapshot = stats.snapshot();
         let sim_time = snapshot.simulated_time(&cfg.cost);
-        let makespan = final_clocks.iter().copied().fold(0.0, f64::max);
+        let makespan = clocks
+            .iter()
+            .map(|c| f64::from_bits(c.load(std::sync::atomic::Ordering::Relaxed)))
+            .fold(0.0, f64::max);
         // All rank threads have joined, so the Arc is unique again; a
         // disabled tracer yields an empty (but correctly-shaped) trace.
-        let mut trace = tracer
+        let trace = tracer
             .map(|t| {
                 Arc::try_unwrap(t)
                     .map(Tracer::into_run_trace)
                     .unwrap_or_else(|_| RunTrace::empty(p))
             })
             .unwrap_or_else(|| RunTrace::empty(p));
-        let detections = if cfg.detector.enabled {
-            detect_stragglers(&cfg.detector, &final_clocks)
-        } else {
-            Vec::new()
-        };
-        if cfg.trace.enabled {
-            // Detections become spans on rank 0 (the detector is the
-            // runtime's verdict, not any one rank's work) — same
-            // convention as the recovery markers in `distconv-core`.
-            for d in &detections {
-                trace.push(
-                    0,
-                    SpanEvent {
-                        kind: SpanKind::FailureDetect,
-                        step: 0,
-                        peer: Some(d.rank),
-                        tag: 0,
-                        elems: 0,
-                        start_ns: 0,
-                        dur_ns: 0,
-                    },
-                );
-            }
-        }
         Ok(RunReport {
             results: results
                 .into_iter()
@@ -504,7 +432,6 @@ impl Machine {
             makespan,
             timing: stats.timing(),
             trace,
-            detections,
         })
     }
 
@@ -1039,118 +966,6 @@ mod tests {
             ..MachineConfig::default()
         };
         let _ = Machine::run::<f32, _, _>(2, cfg, |_| ());
-    }
-
-    #[test]
-    fn detector_classifies_crash_and_reclassifies_starvation() {
-        use crate::detect::{DetectionKind, DetectorConfig};
-        let cfg = MachineConfig {
-            recv_timeout: Duration::from_millis(100),
-            faults: FaultPlan::default().with_crash(1, 1),
-            detector: DetectorConfig::with_timeout(0.25),
-            ..MachineConfig::default()
-        };
-        let err = Machine::try_run::<u64, _, _>(3, cfg, |rank| {
-            if rank.id() == 1 {
-                rank.send(2, 5, &[1]);
-            }
-            if rank.id() == 2 {
-                let _ = rank.recv(1, 5); // starves: rank 1 died first
-            }
-        })
-        .expect_err("crash must fail the run");
-        // The crash explains rank 2's silence: starved, not deadlocked.
-        assert_eq!(err.failures[0].kind, FailureKind::Crash);
-        assert_eq!(err.failures[1].kind, FailureKind::Starved);
-        assert_eq!(err.dead_ranks(), vec![1]);
-        assert_eq!(err.failed_ranks(), vec![1, 2]);
-        // One detection: the crash, a heartbeat after the victim's
-        // clock stopped (it died *before* its first send completed, so
-        // its clock at death is 0).
-        assert_eq!(err.detections.len(), 1);
-        assert_eq!(err.detections[0].rank, 1);
-        assert_eq!(err.detections[0].kind, DetectionKind::Crash);
-        assert!((err.detections[0].at - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn detector_classifies_pure_starvation_as_deadlock() {
-        use crate::detect::{DetectionKind, DetectorConfig};
-        let cfg = MachineConfig {
-            backend: Backend::Event,
-            detector: DetectorConfig::with_timeout(1.0),
-            ..MachineConfig::default()
-        };
-        let err = Machine::try_run::<f32, _, _>(2, cfg, |rank| {
-            if rank.id() == 0 {
-                let _ = rank.recv(1, 42); // nobody sends this
-            }
-        })
-        .expect_err("starved receive must fail the run");
-        assert_eq!(err.failures[0].kind, FailureKind::Deadlock);
-        assert!(err.dead_ranks().is_empty());
-        assert_eq!(err.detections.len(), 1);
-        assert_eq!(err.detections[0].kind, DetectionKind::Deadlock);
-    }
-
-    #[test]
-    fn detector_flags_stragglers_on_success() {
-        use crate::detect::{DetectionKind, DetectorConfig};
-        use distconv_trace::SpanKind;
-        let cfg = MachineConfig {
-            faults: FaultPlan {
-                seed: 0,
-                straggler: Some(crate::fault::Straggler {
-                    rank: 1,
-                    factor: 10.0,
-                }),
-                ..FaultPlan::default()
-            },
-            detector: DetectorConfig::with_timeout(1.0), // threshold 4.0
-            ..MachineConfig::default()
-        };
-        let r = Machine::run::<f32, _, _>(3, cfg, |rank| {
-            // Every rank issues the same fire-and-forget send (never
-            // received, so the straggler's skewed clock cannot
-            // propagate via Lamport max); rank 1's clock runs 10× —
-            // an outlier the detector must flag.
-            rank.send((rank.id() + 1) % rank.size(), 1, &[0.0f32; 64]);
-        });
-        assert_eq!(r.detections.len(), 1);
-        assert_eq!(r.detections[0].rank, 1);
-        assert_eq!(r.detections[0].kind, DetectionKind::Straggler);
-        // The verdict is also visible in the trace.
-        let detects: Vec<_> = r
-            .trace
-            .canonical()
-            .into_iter()
-            .filter(|s| s.kind == SpanKind::FailureDetect)
-            .collect();
-        assert_eq!(detects.len(), 1);
-        assert_eq!(detects[0].peer, Some(1));
-    }
-
-    #[test]
-    fn detector_disabled_reports_nothing() {
-        let cfg = MachineConfig {
-            faults: FaultPlan {
-                seed: 0,
-                straggler: Some(crate::fault::Straggler {
-                    rank: 0,
-                    factor: 100.0,
-                }),
-                ..FaultPlan::default()
-            },
-            ..MachineConfig::default()
-        };
-        let r = Machine::run::<f32, _, _>(2, cfg, |rank| {
-            if rank.id() == 0 {
-                rank.send(1, 1, &[1.0]);
-            } else {
-                let _ = rank.recv(0, 1);
-            }
-        });
-        assert!(r.detections.is_empty());
     }
 
     #[test]

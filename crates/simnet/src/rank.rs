@@ -361,33 +361,6 @@ impl<T: Msg> Rank<T> {
         self.send_vec(dst, tag, data.to_vec());
     }
 
-    /// Nonblocking send: post `data` for `dst` and return a completion
-    /// handle. The simulated transport buffers every send (mailboxes
-    /// are unbounded), so the message is on the wire when this returns
-    /// and the handle completes immediately — it exists so pipelined
-    /// code reads symmetrically (`isend`/`irecv`/`wait`) and so the
-    /// send's ARQ/fault accounting happens at *post* time, exactly like
-    /// the blocking path.
-    pub fn isend(&self, dst: RankId, tag: Tag, data: Vec<T>) -> SendHandle {
-        self.send_vec(dst, tag, data);
-        SendHandle { _completed: () }
-    }
-
-    /// Nonblocking receive: record interest in the next message from
-    /// `(src, tag)` and return a handle whose [`RecvHandle::wait`]
-    /// performs the blocking match. Posting is free (matching state
-    /// lives in the rank's pending queue either way); the value of the
-    /// handle is *when* the caller chooses to block — the pipelined
-    /// executors post the receive for step `t+1`, compute step `t`,
-    /// then wait.
-    pub fn irecv(&self, src: RankId, tag: Tag) -> RecvHandle<'_, T> {
-        RecvHandle {
-            rank: self,
-            src,
-            tag,
-        }
-    }
-
     /// Run `f`, recording its wall-clock duration in the machine's
     /// compute-time counter (see `TimingSnapshot`). The executors wrap
     /// their local kernels in this so `bench_comm` can split step time
@@ -707,249 +680,81 @@ impl<T: Msg> Rank<T> {
         }
     }
 
+    /// The one receive matcher: take the message `(src, tag)` waits for
+    /// from the pending queue, else pull from the mailbox until it
+    /// arrives, parking every other packet. Under the reliable transport
+    /// only the stream's next sequence number matches, so duplicates are
+    /// suppressed and FIFO order is re-assembled; every other transport
+    /// takes the first `(src, tag)` packet and never reads `recv_next`.
     fn recv_inner(&self, src: RankId, tag: Tag) -> Vec<T> {
         if !self.faults.is_noop() {
             self.flush_holdbacks();
-            if self.faults.reliable {
-                return self.recv_seq(src, tag);
-            }
         }
-        // First, check the unexpected-message queue.
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(|p| p.src == src && p.tag == tag) {
-                let pkt = pending.remove(pos).expect("position valid");
-                self.arrive(&pkt);
-                return pkt.data;
-            }
+        let expected = self.faults.reliable.then(|| {
+            self.recv_next
+                .borrow()
+                .get(&(src, tag))
+                .copied()
+                .unwrap_or(0)
+        });
+        let pkt = match self.take_pending(src, tag, expected) {
+            Some(pkt) => pkt,
+            None => self.pull_match(src, tag, expected),
+        };
+        if let Some(seq) = expected {
+            self.recv_next.borrow_mut().insert((src, tag), seq + 1);
         }
-        let deadline = std::time::Instant::now() + self.timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.blocking_pull(remaining) {
-                Ok(pkt) => {
-                    let Some(pkt) = self.ingest(pkt) else {
-                        continue;
-                    };
-                    if pkt.src == src && pkt.tag == tag {
-                        self.arrive(&pkt);
-                        return pkt.data;
-                    }
-                    self.pending.borrow_mut().push_back(pkt);
-                }
-                Err(RecvTimeoutError::Timeout) => panic!(
-                    "rank {}: deadlock trap — no message from rank {src} with tag {tag:#x} \
-                     within {:?} ({} unexpected messages parked)",
-                    self.id,
-                    self.timeout,
-                    self.pending.borrow().len()
-                ),
-                Err(RecvTimeoutError::Disconnected) => panic!(
-                    "rank {}: mailbox disconnected while waiting for rank {src} tag {tag:#x}",
-                    self.id
-                ),
-            }
-        }
-    }
-
-    /// Sequence-numbered receive (reliable transport): deliver exactly
-    /// the next expected sequence for `(src, tag)`, suppressing
-    /// duplicates and re-assembling FIFO order.
-    fn recv_seq(&self, src: RankId, tag: Tag) -> Vec<T> {
-        let expected = self.expected(src, tag);
-        if let Some(pkt) = self.take_pending(src, tag, expected) {
-            return self.deliver(pkt);
-        }
-        let deadline = std::time::Instant::now() + self.timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.blocking_pull(remaining) {
-                Ok(pkt) => {
-                    let Some(pkt) = self.ingest(pkt) else {
-                        continue;
-                    };
-                    if pkt.src == src && pkt.tag == tag {
-                        if pkt.seq == expected {
-                            return self.deliver(pkt);
-                        }
-                        if pkt.seq < expected {
-                            // Stale duplicate (already counted at the
-                            // sender): suppress.
-                            continue;
-                        }
-                        // A future sequence (retransmit overtook the
-                        // stream): park until we catch up.
-                    }
-                    self.pending.borrow_mut().push_back(pkt);
-                }
-                Err(RecvTimeoutError::Timeout) => panic!(
-                    "rank {}: deadlock trap — no message from rank {src} with tag {tag:#x} \
-                     within {:?} ({} unexpected messages parked)",
-                    self.id,
-                    self.timeout,
-                    self.pending.borrow().len()
-                ),
-                Err(RecvTimeoutError::Disconnected) => panic!(
-                    "rank {}: mailbox disconnected while waiting for rank {src} tag {tag:#x}",
-                    self.id
-                ),
-            }
-        }
-    }
-
-    /// Blocking receive of the next message with `tag` from *any* rank.
-    /// Returns `(source, data)`. Time spent here is recorded in the
-    /// machine's comm-wait counter.
-    pub fn recv_any(&self, tag: Tag) -> (RankId, Vec<T>) {
-        let start_ns = self.trace_now();
-        let t0 = std::time::Instant::now();
-        let (src, out) = self.recv_any_inner(tag);
-        let waited_ns = t0.elapsed().as_nanos() as u64;
-        self.stats.record_comm_wait_ns(waited_ns);
-        let n = out.len() as u64;
-        self.trace_span(SpanKind::CommWait, Some(src), tag, n, start_ns, waited_ns);
-        self.trace_span(SpanKind::Recv, Some(src), tag, n, start_ns + waited_ns, 0);
-        (src, out)
-    }
-
-    fn recv_any_inner(&self, tag: Tag) -> (RankId, Vec<T>) {
-        if !self.faults.is_noop() {
-            self.flush_holdbacks();
-            if self.faults.reliable {
-                return self.recv_any_seq(tag);
-            }
-        }
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(pos) = pending.iter().position(|p| p.tag == tag) {
-                let pkt = pending.remove(pos).expect("position valid");
-                self.arrive(&pkt);
-                return (pkt.src, pkt.data);
-            }
-        }
-        let deadline = std::time::Instant::now() + self.timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.blocking_pull(remaining) {
-                Ok(pkt) => {
-                    let Some(pkt) = self.ingest(pkt) else {
-                        continue;
-                    };
-                    if pkt.tag == tag {
-                        self.arrive(&pkt);
-                        return (pkt.src, pkt.data);
-                    }
-                    self.pending.borrow_mut().push_back(pkt);
-                }
-                Err(RecvTimeoutError::Timeout) => panic!(
-                    "rank {}: deadlock trap — no message with tag {tag:#x} within {:?}",
-                    self.id, self.timeout
-                ),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("rank {}: mailbox disconnected (tag {tag:#x})", self.id)
-                }
-            }
-        }
-    }
-
-    /// Sequence-numbered any-source receive (reliable transport).
-    fn recv_any_seq(&self, tag: Tag) -> (RankId, Vec<T>) {
-        if let Some(pkt) = self.take_pending_any(tag) {
-            let src = pkt.src;
-            return (src, self.deliver(pkt));
-        }
-        let deadline = std::time::Instant::now() + self.timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.blocking_pull(remaining) {
-                Ok(pkt) => {
-                    let Some(pkt) = self.ingest(pkt) else {
-                        continue;
-                    };
-                    if pkt.tag == tag {
-                        let expected = self.expected(pkt.src, tag);
-                        if pkt.seq == expected {
-                            let src = pkt.src;
-                            return (src, self.deliver(pkt));
-                        }
-                        if pkt.seq < expected {
-                            // Stale duplicate (counted at the sender).
-                            continue;
-                        }
-                    }
-                    self.pending.borrow_mut().push_back(pkt);
-                }
-                Err(RecvTimeoutError::Timeout) => panic!(
-                    "rank {}: deadlock trap — no message with tag {tag:#x} within {:?}",
-                    self.id, self.timeout
-                ),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("rank {}: mailbox disconnected (tag {tag:#x})", self.id)
-                }
-            }
-        }
-    }
-
-    /// Next expected sequence number for `(src, tag)`.
-    fn expected(&self, src: RankId, tag: Tag) -> u64 {
-        *self.recv_next.borrow().get(&(src, tag)).unwrap_or(&0)
-    }
-
-    /// Consume a matched packet: advance the per-stream cursor and the
-    /// Lamport clock, hand out the payload.
-    fn deliver(&self, pkt: Packet<T>) -> Vec<T> {
-        self.recv_next
-            .borrow_mut()
-            .insert((pkt.src, pkt.tag), pkt.seq + 1);
         self.arrive(&pkt);
         pkt.data
     }
 
-    /// Scan the pending queue for `(src, tag, seq == expected)`,
-    /// purging stale duplicates of that stream along the way.
-    fn take_pending(&self, src: RankId, tag: Tag, expected: u64) -> Option<Packet<T>> {
+    /// Take the packet a receive of `(src, tag)` waits for from the
+    /// pending queue, first dropping stale duplicates of that stream
+    /// (reliable transport only). One `position` search on the queue's
+    /// iterator: a retry loop around it made long-queue scans measurably
+    /// slower.
+    fn take_pending(&self, src: RankId, tag: Tag, expected: Option<u64>) -> Option<Packet<T>> {
         let mut pending = self.pending.borrow_mut();
-        let mut found = None;
-        let mut i = 0;
-        while i < pending.len() {
-            let p = &pending[i];
-            if p.src == src && p.tag == tag {
-                if p.seq == expected && found.is_none() {
-                    found = pending.remove(i);
-                    continue;
-                }
-                if p.seq < expected {
-                    // Stale duplicate (counted at the sender).
-                    pending.remove(i);
-                    continue;
-                }
-            }
-            i += 1;
+        if expected.is_some() {
+            pending.retain(|p| !is_stale(p, src, tag, expected));
         }
-        found
+        let pos = pending
+            .iter()
+            .position(|p| is_match(p, src, tag, expected))?;
+        pending.remove(pos)
     }
 
-    /// Scan the pending queue for any stream of `tag` whose next
-    /// expected packet is parked, purging stale duplicates on the way.
-    fn take_pending_any(&self, tag: Tag) -> Option<Packet<T>> {
-        let mut pending = self.pending.borrow_mut();
-        let mut i = 0;
-        while i < pending.len() {
-            let p = &pending[i];
-            if p.tag == tag {
-                let expected = self.expected(p.src, tag);
-                if p.seq == expected {
-                    return pending.remove(i);
+    /// Block until the packet a receive of `(src, tag)` takes arrives.
+    /// Panics after the machine's receive timeout (the deadlock trap).
+    fn pull_match(&self, src: RankId, tag: Tag, expected: Option<u64>) -> Packet<T> {
+        let deadline = std::time::Instant::now() + self.timeout;
+        loop {
+            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            match self.blocking_pull(remaining) {
+                Ok(pkt) => {
+                    let Some(pkt) = self.ingest(pkt) else {
+                        continue;
+                    };
+                    if is_match(&pkt, src, tag, expected) {
+                        return pkt;
+                    }
+                    if !is_stale(&pkt, src, tag, expected) {
+                        self.pending.borrow_mut().push_back(pkt);
+                    }
                 }
-                if p.seq < expected {
-                    // Stale duplicate (counted at the sender).
-                    pending.remove(i);
-                    continue;
-                }
+                Err(RecvTimeoutError::Timeout) => panic!(
+                    "rank {}: deadlock trap — no message from rank {src} with tag {tag:#x} \
+                     within {:?} ({} unexpected messages parked)",
+                    self.id,
+                    self.timeout,
+                    self.pending.borrow().len()
+                ),
+                Err(RecvTimeoutError::Disconnected) => panic!(
+                    "rank {}: mailbox disconnected while waiting for rank {src} tag {tag:#x}",
+                    self.id
+                ),
             }
-            i += 1;
         }
-        None
     }
 
     /// Number of parked unexpected messages (diagnostics).
@@ -996,49 +801,19 @@ impl<T: Msg> Rank<T> {
     }
 }
 
-/// Completion handle of a nonblocking send ([`Rank::isend`]). The
-/// simulated transport buffers sends, so the operation is already
-/// complete when the handle exists; [`SendHandle::wait`] is a no-op
-/// kept for call-site symmetry with [`RecvHandle`].
-#[derive(Debug)]
-#[must_use = "wait (or drop) the handle where the blocking send would have completed"]
-pub struct SendHandle {
-    _completed: (),
+/// Whether `pkt` is the message a receive of `(src, tag)` waits for.
+/// `expected` is the stream's next sequence number under the reliable
+/// transport and `None` on every other transport, where the first
+/// `(src, tag)` packet matches.
+fn is_match<T>(pkt: &Packet<T>, src: RankId, tag: Tag, expected: Option<u64>) -> bool {
+    pkt.src == src && pkt.tag == tag && expected.is_none_or(|seq| pkt.seq == seq)
 }
 
-impl SendHandle {
-    /// Complete the send (immediate).
-    pub fn wait(self) {}
-}
-
-/// Completion handle of a nonblocking receive ([`Rank::irecv`]): a
-/// posted `(src, tag)` match whose blocking part runs at
-/// [`RecvHandle::wait`]. All matching goes through the rank's normal
-/// receive path, so ARQ reliability, FIFO reassembly and fault
-/// accounting are identical to a blocking [`Rank::recv`] issued at the
-/// wait point.
-#[must_use = "an unawaited irecv never takes its message out of the mailbox"]
-pub struct RecvHandle<'a, T: Msg> {
-    rank: &'a Rank<T>,
-    src: RankId,
-    tag: Tag,
-}
-
-impl<T: Msg> RecvHandle<'_, T> {
-    /// The posted source rank.
-    pub fn src(&self) -> RankId {
-        self.src
-    }
-
-    /// The posted tag.
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
-
-    /// Block until the posted message arrives and return its payload.
-    pub fn wait(self) -> Vec<T> {
-        self.rank.recv(self.src, self.tag)
-    }
+/// Whether `pkt` is an already-delivered copy on the stream `(src, tag)`:
+/// a duplicate under the reliable transport (counted at the sender),
+/// which the receiver discards. Never true on other transports.
+fn is_stale<T>(pkt: &Packet<T>, src: RankId, tag: Tag, expected: Option<u64>) -> bool {
+    pkt.src == src && pkt.tag == tag && expected.is_some_and(|seq| pkt.seq < seq)
 }
 
 #[cfg(test)]
@@ -1067,9 +842,40 @@ mod tests {
         assert!(report.stats.fault.is_zero());
     }
 
+    /// Run `body` on `p` ranks twice, under the no-op plan and under a
+    /// zero-fault reliable plan, and check that the matcher's two modes
+    /// agree bitwise on results, algorithmic counters and clocks. Each
+    /// rank returns its payload and its final clock bits. Returns the
+    /// no-op run's results.
+    fn both_matcher_modes<R: Send + PartialEq + std::fmt::Debug>(
+        p: usize,
+        body: impl Fn(&crate::Rank<u64>) -> R + Send + Sync,
+    ) -> Vec<R> {
+        let run = |faults: FaultPlan| {
+            let cfg = MachineConfig {
+                faults,
+                ..MachineConfig::default()
+            };
+            Machine::run::<u64, _, _>(p, cfg, |rank| (body(rank), rank.clock().to_bits()))
+        };
+        let plain = run(FaultPlan::default());
+        let reliable = run(FaultPlan::reliable(0x5EED));
+        assert_eq!(plain.results, reliable.results);
+        assert_eq!(plain.stats.per_rank_msgs, reliable.stats.per_rank_msgs);
+        assert_eq!(plain.stats.per_rank_elems, reliable.stats.per_rank_elems);
+        assert_eq!(plain.stats.self_msgs, reliable.stats.self_msgs);
+        assert_eq!(plain.stats.self_elems, reliable.stats.self_elems);
+        assert_eq!(plain.stats.redist, reliable.stats.redist);
+        assert_eq!(plain.makespan.to_bits(), reliable.makespan.to_bits());
+        // Zero faults: the ARQ only acknowledges, never retransmits.
+        assert_eq!(reliable.stats.fault.retrans_msgs, 0);
+        assert_eq!(reliable.stats.fault.dup_suppressed, 0);
+        plain.results.into_iter().map(|(r, _)| r).collect()
+    }
+
     #[test]
     fn out_of_order_tags_are_parked() {
-        let report = Machine::run::<u64, _, _>(2, MachineConfig::default(), |rank| {
+        let results = both_matcher_modes(2, |rank| {
             if rank.id() == 0 {
                 rank.send(1, 1, &[10]);
                 rank.send(1, 2, &[20]);
@@ -1082,12 +888,12 @@ mod tests {
                 rank.parked() as u64
             }
         });
-        assert_eq!(report.results[1], 0, "queue drained");
+        assert_eq!(results[1], 0, "queue drained");
     }
 
     #[test]
     fn fifo_per_src_tag() {
-        let report = Machine::run::<u64, _, _>(2, MachineConfig::default(), |rank| {
+        let results = both_matcher_modes(2, |rank| {
             if rank.id() == 0 {
                 for i in 0..10u64 {
                     rank.send(1, 5, &[i]);
@@ -1097,26 +903,7 @@ mod tests {
                 (0..10).map(|_| rank.recv(0, 5)[0]).collect::<Vec<_>>()
             }
         });
-        assert_eq!(report.results[1], (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn recv_any_finds_sender() {
-        let report = Machine::run::<u64, _, _>(3, MachineConfig::default(), |rank| {
-            if rank.id() == 0 {
-                let mut from = vec![];
-                for _ in 0..2 {
-                    let (src, data) = rank.recv_any(9);
-                    from.push((src, data[0]));
-                }
-                from.sort_unstable();
-                from
-            } else {
-                rank.send(0, 9, &[rank.id() as u64 * 100]);
-                vec![]
-            }
-        });
-        assert_eq!(report.results[0], vec![(1, 100), (2, 200)]);
+        assert_eq!(results[1], (0..10).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1143,57 +930,6 @@ mod tests {
                 let _ = rank.recv(1, 42);
             }
         });
-    }
-
-    #[test]
-    fn isend_irecv_roundtrip_counts_like_blocking() {
-        let report = Machine::run::<u64, _, _>(2, MachineConfig::default(), |rank| {
-            if rank.id() == 0 {
-                // Post both shifts up front, then wait — the pipelined
-                // shape. Waits may complete in either order.
-                let h1 = rank.isend(1, 1, vec![10, 20]);
-                let h2 = rank.isend(1, 2, vec![30]);
-                let r = rank.irecv(1, 3);
-                h1.wait();
-                h2.wait();
-                r.wait()
-            } else {
-                let b = rank.irecv(0, 2);
-                let a = rank.irecv(0, 1);
-                assert_eq!((a.src(), a.tag()), (0, 1));
-                let out = vec![b.wait()[0], a.wait()[0]];
-                rank.isend(0, 3, out.clone()).wait();
-                out
-            }
-        });
-        assert_eq!(report.results[0], vec![30, 10]);
-        assert_eq!(report.stats.total_msgs(), 3);
-        assert_eq!(report.stats.total_elems(), 5);
-    }
-
-    #[test]
-    fn isend_irecv_reliable_under_faults() {
-        let cfg = MachineConfig {
-            faults: FaultPlan::reliable(0xBEEF)
-                .with_drops(0.4)
-                .with_dups(0.3)
-                .with_reorders(0.3),
-            ..MachineConfig::default()
-        };
-        let report = Machine::run::<u64, _, _>(2, cfg, |rank| {
-            if rank.id() == 0 {
-                let handles: Vec<_> = (0..10u64).map(|i| rank.isend(1, 5, vec![i])).collect();
-                for h in handles {
-                    h.wait();
-                }
-                vec![]
-            } else {
-                let handles: Vec<_> = (0..10).map(|_| rank.irecv(0, 5)).collect();
-                handles.into_iter().map(|h| h.wait()[0]).collect::<Vec<_>>()
-            }
-        });
-        assert_eq!(report.results[1], (0..10).collect::<Vec<u64>>());
-        assert_eq!(report.stats.total_msgs(), 10);
     }
 
     #[test]

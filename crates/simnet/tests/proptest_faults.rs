@@ -206,23 +206,3 @@ fn reduce_scatter_is_fault_transparent() {
         },
     );
 }
-
-#[test]
-fn all_to_all_is_fault_transparent() {
-    check(
-        "all_to_all_is_fault_transparent",
-        Config::with_cases(CASES),
-        |g| {
-            let p = g.usize_in(2, 5);
-            let len = g.usize_in(0, 7);
-            let plan = gen_plan(g);
-            assert_fault_transparent(p, plan, move |rank| {
-                let comm = Communicator::world(rank);
-                let outgoing: Vec<Vec<f64>> = (0..p)
-                    .map(|j| vec![(comm.me() * 100 + j) as f64; len])
-                    .collect();
-                comm.alltoall(&outgoing)
-            });
-        },
-    );
-}

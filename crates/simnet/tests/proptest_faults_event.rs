@@ -140,26 +140,6 @@ fn reduce_scatter_is_backend_equivalent_under_faults() {
 }
 
 #[test]
-fn all_to_all_is_backend_equivalent_under_faults() {
-    check(
-        "all_to_all_is_backend_equivalent_under_faults",
-        Config::with_cases(CASES),
-        |g| {
-            let p = g.usize_in(2, 5);
-            let len = g.usize_in(0, 7);
-            let plan = gen_plan(g);
-            assert_backend_equivalent(p, plan, move |rank| {
-                let comm = Communicator::world(rank);
-                let outgoing: Vec<Vec<f64>> = (0..p)
-                    .map(|j| vec![(comm.me() * 100 + j) as f64; len])
-                    .collect();
-                comm.alltoall(&outgoing)
-            });
-        },
-    );
-}
-
-#[test]
 fn straggler_skew_is_backend_equivalent() {
     // A straggler only stretches virtual time; both backends must agree
     // on results, counters, and the canonical schedule.

@@ -22,10 +22,9 @@ pub enum SpanKind {
     /// A checkpoint/restart retry boundary, appended by the recovery
     /// layer after a crashed attempt.
     CheckpointRestore,
-    /// The virtual-time failure detector flagged a rank (crash,
-    /// straggler, or deadlock — `peer` carries the detected rank).
-    /// Appended after `CheckpointRestore` so existing canonical digests
-    /// of detector-free runs are unchanged.
+    /// Degraded-grid recovery found a rank dead (`peer` carries its
+    /// id). Appended after `CheckpointRestore` so existing canonical
+    /// digests are unchanged.
     FailureDetect,
     /// Degraded-grid recovery moved checkpoint shards onto a shrunken
     /// grid; `elems` is the redistribution volume (overhead traffic,

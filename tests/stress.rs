@@ -1,7 +1,6 @@
-//! Larger-scale stress tests, `#[ignore]`d by default (run with
-//! `cargo test --release -- --ignored`). These push rank counts and
-//! problem sizes well past the default suite to catch scalability bugs
-//! (tag collisions, queue blowups, accounting overflow) that small
+//! Larger-scale stress tests. These push rank counts and problem sizes
+//! well past the rest of the suite to catch scalability bugs (tag
+//! collisions, queue blowups, accounting overflow) that small
 //! configurations cannot.
 
 use distconv::core::{execute, run_network, run_training_step, NetworkPlan, RunOptions};
@@ -9,7 +8,6 @@ use distconv::cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv::simnet::{Communicator, Machine, MachineConfig};
 
 #[test]
-#[ignore = "stress: 64 rank threads"]
 fn stress_64_ranks_verified() {
     let p = Conv2dProblem::square(8, 32, 32, 8, 3);
     let plan = Planner::new(p, MachineSpec::new(64, 1 << 22))
@@ -24,7 +22,6 @@ fn stress_64_ranks_verified() {
 }
 
 #[test]
-#[ignore = "stress: 128 rank collective storm"]
 fn stress_collective_storm() {
     // Many interleaved collectives on overlapping fibers: exercises the
     // tag/ctx discipline far beyond the normal workloads.
@@ -50,7 +47,6 @@ fn stress_collective_storm() {
 }
 
 #[test]
-#[ignore = "stress: deep network chain"]
 fn stress_deep_network() {
     // An 8-layer chain with channel growth and shrinkage.
     let mut layers = Vec::new();
@@ -69,7 +65,6 @@ fn stress_deep_network() {
 }
 
 #[test]
-#[ignore = "stress: training at 32 ranks"]
 fn stress_training_32_ranks() {
     let p = Conv2dProblem::square(4, 16, 16, 8, 3);
     let plan = Planner::new(p, MachineSpec::new(32, 1 << 22))
@@ -81,9 +76,8 @@ fn stress_training_32_ranks() {
 }
 
 #[test]
-#[ignore = "stress: sustained message pressure"]
 fn stress_message_pressure() {
-    // 10k small messages per rank pair through the unexpected-message
+    // 2 000 small messages per rank pair through the unexpected-message
     // queue (receivers intentionally drain in reverse tag order).
     let n_msgs = 2_000u64;
     let r = Machine::run::<u64, _, _>(4, MachineConfig::default(), move |rank| {
