@@ -10,9 +10,9 @@
 //!
 //! `cargo bench -p distconv-bench --bench bench_autotune -- --json
 //! [PATH]` writes the `distconv-bench-v1` trajectory (default
-//! `BENCH_autotune.json`).
+//! `BENCH_autotune.json` at the workspace root).
 
-use distconv_bench::{autotune_nets, bench_report_json, greedy_chain, BenchRecord, Suite};
+use distconv_bench::{autotune_nets, greedy_chain, write_json_report, BenchRecord, Suite};
 use distconv_core::{run_network, NetworkPlan};
 use distconv_cost::MachineSpec;
 use distconv_simnet::{Backend, MachineConfig};
@@ -95,25 +95,12 @@ fn predicted_speedup(derived: &mut Vec<(String, f64)>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_autotune.json".to_string())
-    });
-
     let mut records = Vec::new();
     let mut derived: Vec<(String, f64)> = Vec::new();
     bench_planning(&mut records);
     bench_execution(&mut records);
     predicted_speedup(&mut derived);
 
-    if let Some(path) = json_path {
-        let derived_refs: Vec<(&str, f64)> =
-            derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let json = bench_report_json(&records, &derived_refs);
-        std::fs::write(&path, json + "\n").expect("write bench json");
-        println!("wrote {path}");
-    }
+    let derived: Vec<(&str, f64)> = derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    write_json_report("BENCH_autotune.json", &records, &derived);
 }

@@ -16,10 +16,11 @@
 //!
 //! `cargo bench -p distconv-bench --bench bench_collectives -- --json
 //! [PATH]` writes everything to `PATH` (default
-//! `BENCH_collectives.json`) in the `distconv-bench-v1` schema; see
-//! `scripts/bench_compare.sh` for diffing across commits.
+//! `BENCH_collectives.json` at the workspace root) in the
+//! `distconv-bench-v1` schema; see `scripts/bench_compare.sh` for
+//! diffing across commits.
 
-use distconv_bench::{bench_report_json, BenchRecord, Suite};
+use distconv_bench::{write_json_report, BenchRecord, Suite};
 use distconv_simnet::{Backend, BcastAlgo, Communicator, Machine, MachineConfig};
 use distconv_trace::TraceConfig;
 use std::hint::black_box;
@@ -132,14 +133,6 @@ fn bench_machine_spinup(records: &mut Vec<BenchRecord>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_collectives.json".to_string())
-    });
-
     let mut records = Vec::new();
     bench_bcast_schedules(&mut records);
     bench_allreduce(&mut records);
@@ -158,19 +151,15 @@ fn main() {
     println!("  ring      {ring:.6e} s  (root sends {ring_root_msgs} segments down the chain)");
     println!("  rotating  {rotating:.6e} s  (paper's schedule; busiest rank sends {rotating_max_msgs} panel-sized messages)");
 
-    if let Some(path) = json_path {
-        let derived: Vec<(&str, f64)> = vec![
-            ("virtual_makespan_linear_s", linear),
-            ("virtual_makespan_binomial_s", binomial),
-            ("virtual_makespan_ring_s", ring),
-            ("virtual_makespan_rotating_s", rotating),
-            ("root_msgs_linear", linear_root_msgs as f64),
-            ("root_msgs_binomial", binomial_root_msgs as f64),
-            ("root_msgs_ring", ring_root_msgs as f64),
-            ("max_rank_msgs_rotating", rotating_max_msgs as f64),
-        ];
-        let json = bench_report_json(&records, &derived);
-        std::fs::write(&path, json + "\n").expect("write bench json");
-        println!("wrote {path}");
-    }
+    let derived: Vec<(&str, f64)> = vec![
+        ("virtual_makespan_linear_s", linear),
+        ("virtual_makespan_binomial_s", binomial),
+        ("virtual_makespan_ring_s", ring),
+        ("virtual_makespan_rotating_s", rotating),
+        ("root_msgs_linear", linear_root_msgs as f64),
+        ("root_msgs_binomial", binomial_root_msgs as f64),
+        ("root_msgs_ring", ring_root_msgs as f64),
+        ("max_rank_msgs_rotating", rotating_max_msgs as f64),
+    ];
+    write_json_report("BENCH_collectives.json", &records, &derived);
 }

@@ -1,45 +1,30 @@
-//! Wall-clock bench: communication/computation overlap — the blocking
-//! step loops vs the double-buffered pipelines, for the simulator
-//! collectives, all four distributed matmul algorithms, and the CNN
-//! executor.
+//! Wall-clock bench: the double-buffered communication pipelines — the
+//! simulator primitives they are built from, all four distributed
+//! matmul algorithms, and the CNN executor.
 //!
 //! The distmm headline runs the representative layer's im2col GEMM
-//! (Nb=4, Nc=64, Nk=64, 56×56, 3×3 ⇒ m=12544, n=64, k=576) under both
-//! comm modes and additionally reports the per-rank comm-wait vs
-//! compute breakdown from the machine's `TimingSnapshot`, so the
-//! derived fields show *where* the overlap saves time, not just that
-//! the wall clock moved.
+//! (Nb=4, Nc=64, Nk=64, 56×56, 3×3 ⇒ m=12544, n=64, k=576) on the
+//! in-process transport and additionally reports the per-rank
+//! comm-wait vs compute breakdown from the machine's `TimingSnapshot`,
+//! so the derived fields show *where* a step's time goes, not just
+//! the wall clock.
 //!
 //! `cargo bench -p distconv-bench --bench bench_comm -- --json [PATH]`
-//! additionally writes the measurements (plus the headline
-//! `speedup_overlapped_over_blocking_cannon_rep`) to `PATH` (default
-//! `BENCH_comm.json`) in the `distconv-bench-v1` schema — see
-//! `scripts/bench_compare.sh` for diffing two such files.
+//! additionally writes the measurements to `PATH` (default
+//! `BENCH_comm.json` at the workspace root) in the `distconv-bench-v1`
+//! schema — see `scripts/bench_compare.sh` for diffing two such files.
 
-use distconv_bench::{bench_report_json, BenchRecord, Suite};
+use distconv_bench::{write_json_report, BenchRecord, Suite};
 use distconv_core::{execute, NetworkPlan, RunOptions};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_distmm::{
     cannon_rank_body, dns3d_rank_body, s25d_rank_body, summa_rank_body, MatmulDims,
 };
-use distconv_par::{CommMode, LocalKernel};
-use distconv_simnet::{
-    CartGrid, Communicator, LinkDelay, Machine, MachineConfig, Rank, TimingSnapshot,
-};
+use distconv_par::LocalKernel;
+use distconv_simnet::{CartGrid, Communicator, Machine, MachineConfig, Rank, TimingSnapshot};
 use distconv_tensor::Matrix;
 use distconv_trace::TraceConfig;
 use std::hint::black_box;
-use std::time::Duration;
-
-/// The emulated network for the distmm suites: 200 µs latency,
-/// 15 ns/element (~0.27 GB/s for f32) — slow enough that the wire is a
-/// visible fraction of a step, the regime where overlap matters. The
-/// in-process default (no delay) makes the wire a memcpy competing with
-/// the kernels for host memory bandwidth, where overlap cannot win by
-/// construction; see `LinkDelay`.
-fn bench_link() -> LinkDelay {
-    LinkDelay::new(Duration::from_micros(200), 15.0)
-}
 
 /// The representative layer's im2col GEMM: Nb=4, Nc=64, Nk=64, 56×56,
 /// 3×3 stride 1 ⇒ `C[12544×64] = A[12544×576] · B[576×64]`.
@@ -109,9 +94,9 @@ fn per_rank_ms(t: &TimingSnapshot, p: usize) -> (f64, f64) {
     )
 }
 
-/// One distmm algorithm under both comm modes: wall time per mode in
-/// the suite, plus the comm-wait/compute breakdown of a single
-/// instrumented run per mode as derived fields.
+/// One distmm algorithm's pipeline: wall time in the suite, plus the
+/// comm-wait/compute breakdown of a single instrumented run as derived
+/// fields.
 fn bench_distmm_alg<F>(
     alg: &str,
     p: usize,
@@ -119,78 +104,40 @@ fn bench_distmm_alg<F>(
     records: &mut Vec<BenchRecord>,
     derived: &mut Vec<(String, f64)>,
     body: F,
-) -> Option<f64>
-where
-    F: Fn(&Rank<f32>, LocalKernel, CommMode) -> Matrix<f32> + Send + Sync + Copy,
+) where
+    F: Fn(&Rank<f32>, LocalKernel) -> Matrix<f32> + Send + Sync + Copy,
 {
     let flops = mm_flops(d);
     let kernel = LocalKernel::from_env();
-    let cfg = MachineConfig {
-        link: bench_link(),
-        ..MachineConfig::default()
-    };
+    let cfg = MachineConfig::default();
     let mut g = Suite::new(format!("distmm_{alg}_rep"));
-    let mut busy = [0.0f64; 2];
-    for (m, mode) in [CommMode::Blocking, CommMode::Overlapped]
-        .into_iter()
-        .enumerate()
-    {
-        g.bench_flops(mode.name(), flops, move || {
-            let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel, mode));
-            black_box(report.results.len())
-        });
-        let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel, mode));
-        let (wait_ms, comp_ms) = per_rank_ms(&report.timing, p);
-        busy[m] = wait_ms + comp_ms;
-        derived.push((format!("{alg}_{}_comm_wait_ms", mode.name()), wait_ms));
-        derived.push((format!("{alg}_{}_compute_ms", mode.name()), comp_ms));
-    }
-    // The acceptance ratio: blocking comm-wait + compute over the
-    // overlapped per-rank busy time (> 1 means the pipeline beats the
-    // serialized sum).
-    if busy[1] > 0.0 {
-        derived.push((format!("{alg}_busy_speedup"), busy[0] / busy[1]));
-    }
-    let recs = g.finish();
-    let median = |label: &str| -> Option<f64> {
-        recs.iter().find(|r| r.label == label).map(|r| r.median_ns)
-    };
-    let speedup = match (
-        median(CommMode::Blocking.name()),
-        median(CommMode::Overlapped.name()),
-    ) {
-        (Some(b), Some(o)) if o > 0.0 => Some(b / o),
-        _ => None,
-    };
-    records.extend(recs);
-    speedup
+    g.bench_flops("overlapped", flops, move || {
+        let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel));
+        black_box(report.results.len())
+    });
+    let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel));
+    let (wait_ms, comp_ms) = per_rank_ms(&report.timing, p);
+    derived.push((format!("{alg}_comm_wait_ms"), wait_ms));
+    derived.push((format!("{alg}_compute_ms"), comp_ms));
+    records.extend(g.finish());
 }
 
-/// The CNN executor on a mid-size layer, blocking vs overlapped halo
-/// and filter exchange (wall time; the executor aggregates the same
-/// timing counters internally).
+/// The CNN executor on a mid-size layer: the pipelined halo and filter
+/// exchange (wall time; the executor aggregates the same timing
+/// counters internally).
 fn bench_gvm_executor(records: &mut Vec<BenchRecord>) {
     let layer = Conv2dProblem::square(4, 16, 16, 16, 3);
     let plan: NetworkPlan = Planner::new(layer, MachineSpec::new(4, 1 << 22))
         .plan()
         .expect("plan rep layer")
         .into();
-    let cfg = MachineConfig {
-        link: bench_link(),
-        ..MachineConfig::default()
-    };
     let plan = &plan;
     let mut g = Suite::new("gvm_executor_comm");
-    for mode in [CommMode::Blocking, CommMode::Overlapped] {
-        g.bench(mode.name(), move || {
-            let opts = RunOptions {
-                verify: false,
-                comm: mode,
-            };
-            let run = execute::<f32>(plan, 7, cfg, opts).expect("executor run");
-            black_box(run.report.stats.total_msgs())
-        });
-    }
+    g.bench("overlapped", move || {
+        let opts = RunOptions { verify: false };
+        let run = execute::<f32>(plan, 7, MachineConfig::default(), opts).expect("executor run");
+        black_box(run.report.stats.total_msgs())
+    });
     records.extend(g.finish());
 }
 
@@ -214,7 +161,7 @@ fn bench_trace_overhead(records: &mut Vec<BenchRecord>, derived: &mut Vec<(Strin
         };
         g.bench_flops(label, flops, move || {
             let report = Machine::run::<f32, _, _>(4, cfg, move |rank| {
-                cannon_rank_body(rank, &d, 2, kernel, CommMode::Overlapped)
+                cannon_rank_body(rank, &d, 2, kernel)
             });
             black_box(report.results.len())
         });
@@ -234,26 +181,18 @@ fn bench_trace_overhead(records: &mut Vec<BenchRecord>, derived: &mut Vec<(Strin
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_comm.json".to_string())
-    });
-
     let mut records = Vec::new();
     let mut derived: Vec<(String, f64)> = Vec::new();
     bench_collective_starts(&mut records);
 
     let d = rep_gemm();
-    let cannon_speedup = bench_distmm_alg(
+    bench_distmm_alg(
         "cannon",
         4,
         &d,
         &mut records,
         &mut derived,
-        move |rank, kernel, mode| cannon_rank_body(rank, &d, 2, kernel, mode),
+        move |rank, kernel| cannon_rank_body(rank, &d, 2, kernel),
     );
     bench_distmm_alg(
         "summa",
@@ -261,7 +200,7 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, kernel, mode| summa_rank_body(rank, &d, 2, 2, kernel, mode),
+        move |rank, kernel| summa_rank_body(rank, &d, 2, 2, kernel),
     );
     bench_distmm_alg(
         "s25d",
@@ -269,7 +208,7 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, kernel, mode| s25d_rank_body(rank, &d, 2, 2, kernel, mode),
+        move |rank, kernel| s25d_rank_body(rank, &d, 2, 2, kernel),
     );
     bench_distmm_alg(
         "dns3d",
@@ -277,20 +216,11 @@ fn main() {
         &d,
         &mut records,
         &mut derived,
-        move |rank, kernel, mode| dns3d_rank_body(rank, &d, 2, kernel, mode),
+        move |rank, kernel| dns3d_rank_body(rank, &d, 2, kernel),
     );
     bench_gvm_executor(&mut records);
     bench_trace_overhead(&mut records, &mut derived);
 
-    if let Some(s) = cannon_speedup {
-        println!("\nspeedup overlapped over blocking (Cannon 2x2, rep GEMM): {s:.2}x");
-        derived.push(("speedup_overlapped_over_blocking_cannon_rep".into(), s));
-    }
-    if let Some(path) = json_path {
-        let derived_refs: Vec<(&str, f64)> =
-            derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let json = bench_report_json(&records, &derived_refs);
-        std::fs::write(&path, json + "\n").expect("write bench json");
-        println!("wrote {path}");
-    }
+    let derived: Vec<(&str, f64)> = derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    write_json_report("BENCH_comm.json", &records, &derived);
 }

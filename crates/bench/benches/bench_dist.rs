@@ -11,10 +11,7 @@ use std::hint::black_box;
 
 /// One unverified run of `plan` with workload `seed`.
 fn run(plan: &NetworkPlan, seed: u64) -> NetworkRun<f32> {
-    let opts = RunOptions {
-        verify: false,
-        ..RunOptions::default()
-    };
+    let opts = RunOptions { verify: false };
     execute::<f32>(plan, seed, MachineConfig::default(), opts).expect("executor run")
 }
 

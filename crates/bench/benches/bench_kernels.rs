@@ -28,10 +28,11 @@
 //! additionally writes the measurements (plus the headline
 //! `speedup_fast_over_reference` / `speedup_simd_over_scalar` on the
 //! representative ResNet-style layer) to `PATH` (default
-//! `BENCH_kernels.json`) in the `distconv-bench-v1` schema — see `scripts/bench_compare.sh` for
+//! `BENCH_kernels.json` at the workspace root) in the
+//! `distconv-bench-v1` schema — see `scripts/bench_compare.sh` for
 //! diffing two such files across commits.
 
-use distconv_bench::{autotune_nets, bench_report_json, provenance, BenchRecord, Suite};
+use distconv_bench::{autotune_nets, provenance, write_json_report, BenchRecord, Suite};
 use distconv_conv::kernels::{
     conv2d_direct, conv2d_direct_par, conv_tile, in_shape, ker_shape, out_shape, workload,
     PAR_MADD_CUTOFF,
@@ -239,14 +240,6 @@ fn bench_oracle_nets(records: &mut Vec<BenchRecord>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_kernels.json".to_string())
-    });
-
     // Where the numbers were taken, and which micro-kernel path the
     // unpinned records (`*_simd`, `…/simd`) actually ran on.
     println!("provenance {}", provenance());
@@ -268,9 +261,5 @@ fn main() {
     for (k, v) in &derived {
         println!("{k}: {v:.2}x");
     }
-    if let Some(path) = json_path {
-        let json = bench_report_json(&records, &derived);
-        std::fs::write(&path, json + "\n").expect("write bench json");
-        println!("wrote {path}");
-    }
+    write_json_report("BENCH_kernels.json", &records, &derived);
 }

@@ -10,10 +10,10 @@
 //!
 //! `cargo bench -p distconv-bench --bench bench_serving -- --json
 //! [PATH]` writes the `distconv-bench-v1` trajectory (default
-//! `BENCH_serving.json`).
+//! `BENCH_serving.json` at the workspace root).
 
 use distconv_bench::wallbench::BenchConfig;
-use distconv_bench::{autotune_nets, bench_report_json, BenchRecord, Suite};
+use distconv_bench::{autotune_nets, write_json_report, BenchRecord, Suite};
 use distconv_core::{dispatch_batch, NetworkPlan};
 use distconv_cost::MachineSpec;
 use distconv_serve::{ModelSpec, ServeConfig, Server};
@@ -143,25 +143,12 @@ fn saturation_scan(derived: &mut Vec<(String, f64)>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_serving.json".to_string())
-    });
-
     let mut records = Vec::new();
     let mut derived: Vec<(String, f64)> = Vec::new();
     bench_dispatch(&mut records);
     latency_percentiles(&mut derived);
     saturation_scan(&mut derived);
 
-    if let Some(path) = json_path {
-        let derived_refs: Vec<(&str, f64)> =
-            derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let json = bench_report_json(&records, &derived_refs);
-        std::fs::write(&path, json + "\n").expect("write bench json");
-        println!("wrote {path}");
-    }
+    let derived: Vec<(&str, f64)> = derived.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    write_json_report("BENCH_serving.json", &records, &derived);
 }

@@ -36,11 +36,7 @@ pub fn greedy_chain(layers: &[Conv2dProblem], machine: MachineSpec) -> NetworkPl
 /// the machine fails or the result is wrong: an experiment's table
 /// would be meaningless either way.
 fn run_layer(plan: DistPlan, seed: u64, cfg: MachineConfig, verify: bool) -> NetworkRun<f64> {
-    let opts = RunOptions {
-        verify,
-        ..RunOptions::default()
-    };
-    execute::<f64>(&plan.into(), seed, cfg, opts).unwrap_or_else(|e| panic!("{e}"))
+    execute::<f64>(&plan.into(), seed, cfg, RunOptions { verify }).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A verified one-layer run under [`recover`], degrading onto a

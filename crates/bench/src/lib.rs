@@ -15,4 +15,4 @@ pub mod wallbench;
 
 pub use experiments::*;
 pub use table::Table;
-pub use wallbench::{bench_report_json, provenance, BenchRecord, Suite};
+pub use wallbench::{provenance, write_json_report, BenchRecord, Suite};

@@ -23,6 +23,7 @@
 use distconv_cost::json::{JsonArray, JsonObject};
 use distconv_cost::ToJson;
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Resolved runner settings (see module docs for the env knobs).
@@ -119,13 +120,40 @@ impl ToJson for BenchRecord {
     }
 }
 
+/// The workspace root, where the committed `BENCH_*.json` files live.
+/// `cargo bench` runs each bench from its package directory
+/// (`crates/bench`), so relative defaults would land there instead.
+const WORKSPACE_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// Handle a bench binary's `--json [PATH]` flag: write the run in the
+/// `BENCH_*.json` trajectory schema to `PATH`, or to `default_file` at
+/// the workspace root when no path follows the flag. No-op without the
+/// flag.
+pub fn write_json_report(default_file: &str, records: &[BenchRecord], derived: &[(&str, f64)]) {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(path) = json_path_from(&args, default_file) {
+        let json = bench_report_json(records, derived);
+        std::fs::write(&path, json + "\n").expect("write bench json");
+        println!("wrote {}", path.display());
+    }
+}
+
+/// The `--json [PATH]` target: `None` without the flag, `PATH` when
+/// given, else `default_file` at the workspace root.
+fn json_path_from(args: &[String], default_file: &str) -> Option<PathBuf> {
+    let i = args.iter().position(|a| a == "--json")?;
+    Some(match args.get(i + 1).filter(|a| !a.starts_with("--")) {
+        Some(path) => PathBuf::from(path),
+        None => Path::new(WORKSPACE_ROOT).join(default_file),
+    })
+}
+
 /// Where a bench ran, in the format of perfbench's provenance line: a
 /// one-line JSON object with the host name, the core count, the active
 /// micro-kernel ISA path and the commit of the checkout (read from
 /// `.git` at the workspace root; `unknown` outside a git checkout).
 pub fn provenance() -> String {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let read = |p: &str| std::fs::read_to_string(format!("{root}/{p}")).ok();
+    let read = |p: &str| std::fs::read_to_string(format!("{WORKSPACE_ROOT}/{p}")).ok();
     let commit = read(".git/HEAD")
         .and_then(|head| match head.trim().strip_prefix("ref: ") {
             None => Some(head.trim().to_string()),
@@ -153,7 +181,7 @@ pub fn provenance() -> String {
 /// `{schema, quick, provenance: {...}, derived: {...}, records: [...]}`.
 /// `quick` is recorded so consumers can refuse to compare smoke-mode
 /// timings, and [`provenance`] so they can tell hosts and commits apart.
-pub fn bench_report_json(records: &[BenchRecord], derived: &[(&str, f64)]) -> String {
+fn bench_report_json(records: &[BenchRecord], derived: &[(&str, f64)]) -> String {
     let mut arr = JsonArray::new();
     for r in records {
         arr = arr.push_json(r);
@@ -426,6 +454,25 @@ mod tests {
         assert_eq!(recs[0].get("label").unwrap().as_str(), Some("l"));
         let gf = recs[0].get("gflops").unwrap().as_f64().unwrap();
         assert!((gf - (1e6 / 1.5e-3 / 1e9)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn json_default_path_is_at_the_workspace_root() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(json_path_from(&args(&["bench"]), "BENCH_x.json"), None);
+        let default = json_path_from(&args(&["bench", "--json"]), "BENCH_x.json").unwrap();
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(default, root.join("BENCH_x.json"));
+        assert!(
+            root.join("Cargo.lock").is_file(),
+            "{} is not the workspace root",
+            root.display()
+        );
+        // A following flag is not a path.
+        let flagged = json_path_from(&args(&["bench", "--json", "--bench"]), "BENCH_x.json");
+        assert_eq!(flagged, Some(default));
+        let given = json_path_from(&args(&["bench", "--json", "/tmp/out.json"]), "BENCH_x.json");
+        assert_eq!(given, Some(PathBuf::from("/tmp/out.json")));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::distribution::{in_c_dist, ker_c_dist};
 use crate::layout::{LayerShards, RankLayout};
 use distconv_conv::{conv_tile_fast_rows, ConvScratch};
 use distconv_cost::DistPlan;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::Rank;
 use distconv_tensor::{conv_input_region, Range4, Scalar, Tensor4};
 
@@ -26,19 +26,16 @@ struct TileStep {
 /// (shape `[W_b, W_k, W_w, W_h]`, local coordinates). The caller is
 /// responsible for the final `c`-reduction.
 ///
-/// In [`CommMode::Overlapped`], the loop is double-buffered: step
-/// `t+1`'s In/Ker broadcasts are posted before step `t`'s tiles are
-/// waited for and convolved. Step order, broadcast trees, payloads and
-/// the accumulation order into `out_slice` are identical to the
-/// blocking path, so the output is bitwise equal and the traffic
-/// counters unchanged.
+/// The loop is double-buffered: step `t+1`'s In/Ker broadcasts are
+/// posted before step `t`'s tiles are waited for and convolved. Tiles
+/// accumulate into `out_slice` in step order, so the output does not
+/// depend on when a rank waits.
 pub(crate) fn forward_tiles<T: Scalar>(
     plan: &DistPlan,
     rank: &Rank<T>,
     layout: &RankLayout<'_, T>,
     shards: &LayerShards<'_, T>,
     kernel: LocalKernel,
-    comm: CommMode,
     out_slice: &mut Tensor4<T>,
 ) {
     let p = plan.problem;
@@ -50,8 +47,8 @@ pub(crate) fn forward_tiles<T: Scalar>(
     // One scratch arena for the whole tile loop (fast kernel only).
     let mut scratch = ConvScratch::<T>::new();
 
-    // Linearize the rotating-broadcast schedule so the pipelined path
-    // can look one step ahead; the blocking path walks the same list.
+    // Linearize the rotating-broadcast schedule so the pipeline can
+    // look one step ahead.
     let mut steps = Vec::with_capacity(sk * sb * sw * sh * w.wc);
     for jk in 0..sk {
         for jb in 0..sb {
@@ -78,107 +75,60 @@ pub(crate) fn forward_tiles<T: Scalar>(
         }
     }
 
-    // Trace stamping: tile step t's broadcasts and convolution are
-    // stamped t in both modes — the pipelined path stamps a posted
-    // broadcast with the step it feeds, so the canonical trace is
-    // mode-independent.
-    match comm {
-        CommMode::Blocking => {
-            for (t, step) in steps.iter().enumerate() {
-                rank.set_step(t as u64);
-                // In tile broadcast along the k fiber.
-                let mut in_buf = if layout.ik() == step.in_owner {
-                    shards
-                        .in_shard
-                        .pack_range(step.in_rng.relative_to(shards.in_origin))
-                } else {
-                    vec![T::zero(); step.in_rng.len()]
-                };
-                let _l_in = rank.mem().lease_or_panic(in_buf.len() as u64);
-                layout.k_comm.bcast(step.in_owner, &mut in_buf);
-                let in_tile = Tensor4::from_vec(step.in_rng.shape(), in_buf);
-
-                // Ker tile broadcast along the bhw fiber.
-                let mut ker_buf = if layout.bhw_pos == step.ker_owner {
-                    shards
-                        .ker_shard
-                        .pack_range(step.ker_rng.relative_to(shards.ker_origin))
-                } else {
-                    vec![T::zero(); step.ker_rng.len()]
-                };
-                let _l_ker = rank.mem().lease_or_panic(ker_buf.len() as u64);
-                layout.bhw_comm.bcast(step.ker_owner, &mut ker_buf);
-                let ker_tile = Tensor4::from_vec(step.ker_rng.shape(), ker_buf);
-
-                let out_local = step.out_rng.relative_to(shards.out_origin);
-                rank.time_compute(|| {
-                    conv_tile_into_slice(
-                        &p,
-                        out_slice,
-                        out_local,
-                        &in_tile,
-                        &ker_tile,
-                        kernel,
-                        &mut scratch,
-                    )
-                });
-            }
+    // Post a step's two broadcasts: the owners pack and their tree
+    // sends go out immediately; non-owners pass an empty payload and
+    // receive on wait.
+    let post = |step: &TileStep| {
+        let in_payload = if layout.ik() == step.in_owner {
+            shards
+                .in_shard
+                .pack_range(step.in_rng.relative_to(shards.in_origin))
+        } else {
+            Vec::new()
+        };
+        let ker_payload = if layout.bhw_pos == step.ker_owner {
+            shards
+                .ker_shard
+                .pack_range(step.ker_rng.relative_to(shards.ker_origin))
+        } else {
+            Vec::new()
+        };
+        (
+            layout.k_comm.ibcast(step.in_owner, in_payload),
+            layout.bhw_comm.ibcast(step.ker_owner, ker_payload),
+        )
+    };
+    // Trace stamping: a posted broadcast is stamped with the step it
+    // feeds, so tile step t's broadcasts and convolution all carry t.
+    rank.set_step(0);
+    let mut pending = steps.first().map(&post);
+    for (t, step) in steps.iter().enumerate() {
+        let (p_in, p_ker) = pending.take().expect("pipeline primed");
+        if let Some(next) = steps.get(t + 1) {
+            rank.set_step(t as u64 + 1);
+            pending = Some(post(next));
         }
-        CommMode::Overlapped => {
-            // Post a step's two broadcasts: the owners pack and their
-            // tree sends go out immediately; non-owners pass an empty
-            // payload and receive on wait.
-            let post = |step: &TileStep| {
-                let in_payload = if layout.ik() == step.in_owner {
-                    shards
-                        .in_shard
-                        .pack_range(step.in_rng.relative_to(shards.in_origin))
-                } else {
-                    Vec::new()
-                };
-                let ker_payload = if layout.bhw_pos == step.ker_owner {
-                    shards
-                        .ker_shard
-                        .pack_range(step.ker_rng.relative_to(shards.ker_origin))
-                } else {
-                    Vec::new()
-                };
-                (
-                    layout.k_comm.ibcast(step.in_owner, in_payload),
-                    layout.bhw_comm.ibcast(step.ker_owner, ker_payload),
-                )
-            };
-            rank.set_step(0);
-            let mut pending = steps.first().map(&post);
-            for (t, step) in steps.iter().enumerate() {
-                let (p_in, p_ker) = pending.take().expect("pipeline primed");
-                if let Some(next) = steps.get(t + 1) {
-                    rank.set_step(t as u64 + 1);
-                    pending = Some(post(next));
-                }
-                rank.set_step(t as u64);
-                let _l_in = rank.mem().lease_or_panic(step.in_rng.len() as u64);
-                let in_tile = Tensor4::from_vec(step.in_rng.shape(), p_in.wait());
-                let _l_ker = rank.mem().lease_or_panic(step.ker_rng.len() as u64);
-                let ker_tile = Tensor4::from_vec(step.ker_rng.shape(), p_ker.wait());
+        rank.set_step(t as u64);
+        let _l_in = rank.mem().lease_or_panic(step.in_rng.len() as u64);
+        let in_tile = Tensor4::from_vec(step.in_rng.shape(), p_in.wait());
+        let _l_ker = rank.mem().lease_or_panic(step.ker_rng.len() as u64);
+        let ker_tile = Tensor4::from_vec(step.ker_rng.shape(), p_ker.wait());
 
-                let out_local = step.out_rng.relative_to(shards.out_origin);
-                rank.time_compute(|| {
-                    conv_tile_into_slice(
-                        &p,
-                        out_slice,
-                        out_local,
-                        &in_tile,
-                        &ker_tile,
-                        kernel,
-                        &mut scratch,
-                    )
-                });
-            }
-        }
+        let out_local = step.out_rng.relative_to(shards.out_origin);
+        rank.time_compute(|| {
+            conv_tile_into_slice(
+                &p,
+                out_slice,
+                out_local,
+                &in_tile,
+                &ker_tile,
+                kernel,
+                &mut scratch,
+            )
+        });
     }
     // Whatever follows the tile loop (the caller's c-reduction) is its
-    // own step, the same one in both modes.
+    // own step.
     rank.set_step(steps.len() as u64);
 }
 

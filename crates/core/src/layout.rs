@@ -18,7 +18,7 @@
 use crate::distribution::{out_range, plan_grid, shard_geometry};
 use crate::fwd::forward_tiles;
 use distconv_cost::DistPlan;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{Communicator, Rank, Tag, TrafficClass};
 use distconv_tensor::{Range4, Scalar, Shape4, Tensor4};
 
@@ -90,10 +90,9 @@ pub(crate) fn forward_layer<T: Scalar>(
     layout: &RankLayout<'_, T>,
     shards: &LayerShards<'_, T>,
     kernel: LocalKernel,
-    comm: CommMode,
     out_slice: &mut Tensor4<T>,
 ) {
-    forward_tiles(plan, rank, layout, shards, kernel, comm, out_slice);
+    forward_tiles(plan, rank, layout, shards, kernel, out_slice);
     if plan.grid.pc > 1 {
         let w = plan.w;
         let mut buf =

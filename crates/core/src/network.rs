@@ -28,7 +28,7 @@ use crate::layout::{
 use crate::model::eq10_aggregate;
 use distconv_conv::kernels::{conv2d_direct_par, in_shape, ker_shape};
 use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, PlanError, Planner};
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{Machine, MachineConfig, Rank, RunError, StatsSnapshot};
 use distconv_tensor::{max_rel_err, Range4, Scalar, Tensor4};
 use distconv_trace::{ConformanceReport, ConformanceRow, RunTrace, Tolerance};
@@ -416,18 +416,12 @@ pub struct RunOptions {
     /// Check the final layer's output against the chained sequential
     /// reference; a mismatch is [`CoreError::VerificationFailed`].
     pub verify: bool,
-    /// Blocking or overlapped tile pipeline. Results and traffic
-    /// counters are identical in both; only *when* ranks wait moves.
-    pub comm: CommMode,
 }
 
 impl Default for RunOptions {
-    /// Verified, in the comm mode `DISTCONV_COMM` selects.
+    /// Verified.
     fn default() -> Self {
-        RunOptions {
-            verify: true,
-            comm: CommMode::from_env(),
-        }
+        RunOptions { verify: true }
     }
 }
 
@@ -497,9 +491,9 @@ pub fn execute<T: Scalar>(
         .windows(2)
         .map(|w| BoundaryWindows::new(&w[0], &w[1]))
         .collect();
-    let (kernel, comm) = (LocalKernel::from_env(), opts.comm);
+    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-        network_rank_body::<T>(rank, plan, &windows, seed, kernel, comm)
+        network_rank_body::<T>(rank, plan, &windows, seed, kernel)
     })?;
     let outputs: Vec<NetworkOut<T>> = report.results.into_iter().flatten().collect();
     if opts.verify {
@@ -529,8 +523,8 @@ pub fn execute<T: Scalar>(
     })
 }
 
-/// Run a verified forward pass of `plan` in the environment's comm
-/// mode and keep only its [`NetworkReport`].
+/// Run a verified forward pass of `plan` and keep only its
+/// [`NetworkReport`].
 pub fn run_network<T: Scalar>(
     plan: &NetworkPlan,
     seed: u64,
@@ -615,7 +609,6 @@ fn network_rank_body<T: Scalar>(
     windows: &[BoundaryWindows],
     seed: u64,
     kernel: LocalKernel,
-    comm: CommMode,
 ) -> NetOut<T> {
     let mut carried_in: Option<Tensor4<T>> = None; // shard for the next layer
 
@@ -655,7 +648,7 @@ fn network_rank_body<T: Scalar>(
             ker_origin,
             out_origin,
         };
-        forward_layer(lp, rank, &layout, &shards, kernel, comm, &mut out_slice);
+        forward_layer(lp, rank, &layout, &shards, kernel, &mut out_slice);
 
         if li + 1 < plan.layers.len() {
             carried_in = Some(redistribute_to_next(
@@ -789,11 +782,7 @@ mod tests {
         cfg: MachineConfig,
         verify: bool,
     ) -> NetworkRun<T> {
-        let opts = RunOptions {
-            verify,
-            ..RunOptions::default()
-        };
-        execute::<T>(plan, seed, cfg, opts).expect("one-layer run")
+        execute::<T>(plan, seed, cfg, RunOptions { verify }).expect("one-layer run")
     }
 
     /// A verified one-layer run under [`crate::recover()`], degrading onto

@@ -30,7 +30,7 @@ use crate::layout::{forward_layer, LayerShards, RankLayout};
 use crate::network::{window_max_rel_err, CoreError};
 use distconv_conv::kernels::{grad_ker, out_shape, workload};
 use distconv_cost::DistPlan;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
 use distconv_tensor::{conv_input_region, Range4, Scalar, Shape4, Tensor4};
 
@@ -131,9 +131,9 @@ pub fn run_training_step<T: Scalar>(
     cfg: MachineConfig,
 ) -> Result<TrainReport, CoreError> {
     let procs = plan.grid.total();
-    let (kernel, comm) = (LocalKernel::from_env(), CommMode::from_env());
+    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-        train_rank_body::<T>(rank, &plan, seed, kernel, comm)
+        train_rank_body::<T>(rank, &plan, seed, kernel)
     })?;
 
     // --- Verification against sequential references. ---
@@ -202,7 +202,6 @@ fn train_rank_body<T: Scalar>(
     plan: &DistPlan,
     seed: u64,
     kernel: LocalKernel,
-    comm: CommMode,
 ) -> TrainRankOut<T> {
     let p = plan.problem;
     let (w, t) = (plan.w, plan.t);
@@ -248,7 +247,7 @@ fn train_rank_body<T: Scalar>(
         ker_origin,
         out_origin,
     };
-    forward_layer(plan, rank, &layout, &shards, kernel, comm, &mut out_slice);
+    forward_layer(plan, rank, &layout, &shards, kernel, &mut out_slice);
 
     // ---------------- Backward pass: dKer. ----------------
     // Partial gradient over this rank's (b,w,h) sub-range, full (Wk, Wc).
@@ -430,7 +429,7 @@ mod tests {
             .unwrap();
         let procs = plan.grid.total();
         let report = Machine::run::<f64, _, _>(procs, MachineConfig::default(), |rank| {
-            train_rank_body::<f64>(rank, &plan, 3, LocalKernel::Fast, CommMode::default())
+            train_rank_body::<f64>(rank, &plan, 3, LocalKernel::Fast)
         });
         for out in &report.results {
             // Must match the distribution module's Ker shard for the rank.

@@ -17,7 +17,7 @@
 use crate::common::{shard_a, shard_b, MatmulDims, MmReport};
 use crate::local::local_matmul;
 use crate::summa::verify_blocks;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
@@ -25,12 +25,8 @@ use distconv_tensor::{Matrix, Scalar};
 /// Per-rank Cannon body on a `q × q` grid: returns this rank's `C`
 /// block.
 ///
-/// In [`CommMode::Overlapped`], each step posts the `t+1` shift
-/// exchange *before* computing step `t`'s block product, then waits —
-/// the double-buffered pipeline. The shift schedule (message order per
-/// link, payloads, accumulation order into `C`) is identical to the
-/// blocking path, so results are bitwise equal and traffic counters
-/// unchanged; only the wait moves.
+/// Each step posts the `t+1` shift exchange *before* computing step
+/// `t`'s block product, then waits — the double-buffered pipeline.
 ///
 /// Note on uneven blocks: after skewing, block shapes no longer match a
 /// fixed per-rank buffer, so every shifted message carries its own
@@ -42,7 +38,6 @@ pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
     d: &MatmulDims,
     q: usize,
     kernel: LocalKernel,
-    mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), q * q, "grid size mismatch");
     let grid = CartGrid::new(vec![q, q]);
@@ -99,45 +94,26 @@ pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
         debug_assert_eq!(a_kblk, b_kblk, "skew must align k-blocks");
         let (k_lo, k_hi) = dist_k.range(a_kblk);
         let kk = k_hi - k_lo;
-        // Trace stamping: the shift that feeds step t+1 is stamped t+1
-        // in both modes, so the canonical trace is mode-independent.
-        match mode {
-            CommMode::Blocking => {
-                // Compute step t, then exchange for t+1 (wait inline).
-                rank.set_step(step as u64);
-                let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_block);
-                let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_block);
-                rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
-                a_block = a_m.into_vec();
-                b_block = b_m.into_vec();
-                if step + 1 < q {
-                    rank.set_step(step as u64 + 1);
-                    a_block = row_comm.sendrecv_vec(a_dst, a_src, a_block);
-                    b_block = col_comm.sendrecv_vec(b_dst, b_src, b_block);
-                }
-            }
-            CommMode::Overlapped => {
-                // Post the t+1 exchange first (the sends copy the
-                // current blocks onto the wire), compute step t while
-                // the shifted blocks are in flight, then wait.
-                let pending = if step + 1 < q {
-                    rank.set_step(step as u64 + 1);
-                    let pa = row_comm.isendrecv(a_dst, a_src, a_block.clone());
-                    let pb = col_comm.isendrecv(b_dst, b_src, b_block.clone());
-                    Some((pa, pb))
-                } else {
-                    None
-                };
-                rank.set_step(step as u64);
-                let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, std::mem::take(&mut a_block));
-                let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, std::mem::take(&mut b_block));
-                rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
-                if let Some((pa, pb)) = pending {
-                    rank.set_step(step as u64 + 1);
-                    a_block = pa.wait();
-                    b_block = pb.wait();
-                }
-            }
+        // Post the t+1 exchange first (the sends copy the current
+        // blocks onto the wire), compute step t while the shifted
+        // blocks are in flight, then wait. The shift that feeds step
+        // t+1 is stamped t+1 in the trace.
+        let pending = if step + 1 < q {
+            rank.set_step(step as u64 + 1);
+            let pa = row_comm.isendrecv(a_dst, a_src, a_block.clone());
+            let pb = col_comm.isendrecv(b_dst, b_src, b_block.clone());
+            Some((pa, pb))
+        } else {
+            None
+        };
+        rank.set_step(step as u64);
+        let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, std::mem::take(&mut a_block));
+        let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, std::mem::take(&mut b_block));
+        rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
+        if let Some((pa, pb)) = pending {
+            rank.set_step(step as u64 + 1);
+            a_block = pa.wait();
+            b_block = pb.wait();
         }
         if step + 1 < q {
             a_kblk = (a_kblk + 1) % q;
@@ -182,9 +158,9 @@ pub fn cannon_analytic_volume(d: &MatmulDims, q: usize) -> u128 {
 
 /// Drive a Cannon run on `q²` ranks; verify all blocks.
 pub fn run_cannon(d: MatmulDims, q: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
-    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
+    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(q * q, cfg, |rank| {
-        cannon_rank_body::<f64>(rank, &d, q, kernel, mode)
+        cannon_rank_body::<f64>(rank, &d, q, kernel)
     })?;
     let verified = verify_blocks(&d, q, q, &report.results);
     Ok(MmReport {

@@ -17,7 +17,7 @@
 use crate::common::{shard_a, shard_b, MatmulDims, MmReport};
 use crate::local::local_matmul;
 use crate::summa::verify_blocks;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
@@ -26,17 +26,14 @@ use distconv_tensor::{Matrix, Scalar};
 /// on the `l = 0` face (empty matrix elsewhere).
 ///
 /// The 3D algorithm has a single compute step, so there is no multi-step
-/// pipeline to double-buffer; in [`CommMode::Overlapped`] the `A` and
-/// `B` face broadcasts are *posted together* (both root faces send
-/// immediately) instead of completing the `A` broadcast before the `B`
-/// broadcast starts. Payloads, trees, and the one local product are
-/// identical, so results are bitwise equal and counters unchanged.
+/// pipeline to double-buffer; the `A` and `B` face broadcasts are
+/// *posted together* (both root faces send immediately) instead of
+/// completing the `A` broadcast before the `B` broadcast starts.
 pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     p1: usize,
     kernel: LocalKernel,
-    mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), p1 * p1 * p1, "grid size mismatch");
     let grid = CartGrid::new(vec![p1, p1, p1]);
@@ -56,49 +53,26 @@ pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
 
     let a_len = (mi_hi - mi_lo) * (kl_hi - kl_lo);
     let b_len = (kl_hi - kl_lo) * (nj_hi - nj_lo);
-    let (a_buf, b_buf, _la, _lb) = match mode {
-        CommMode::Blocking => {
-            // A(i,l): materialized on the j=0 face, broadcast along j.
-            let mut a_buf = if j == 0 {
-                shard_a::<T>(d, mi_lo, mi_hi - mi_lo, kl_lo, kl_hi - kl_lo).into_vec()
-            } else {
-                vec![T::zero(); a_len]
-            };
-            let la = rank.mem().lease_or_panic(a_buf.len() as u64);
-            j_comm.bcast(0, &mut a_buf);
-
-            // B(l,j): materialized on the i=0 face, broadcast along i.
-            let mut b_buf = if i == 0 {
-                shard_b::<T>(d, kl_lo, kl_hi - kl_lo, nj_lo, nj_hi - nj_lo).into_vec()
-            } else {
-                vec![T::zero(); b_len]
-            };
-            let lb = rank.mem().lease_or_panic(b_buf.len() as u64);
-            i_comm.bcast(0, &mut b_buf);
-            (a_buf, b_buf, la, lb)
-        }
-        CommMode::Overlapped => {
-            // Post both face broadcasts before waiting for either, so
-            // the two trees' sends are in flight concurrently.
-            let a_payload = if j == 0 {
-                shard_a::<T>(d, mi_lo, mi_hi - mi_lo, kl_lo, kl_hi - kl_lo).into_vec()
-            } else {
-                Vec::new()
-            };
-            let pa = j_comm.ibcast(0, a_payload);
-            let b_payload = if i == 0 {
-                shard_b::<T>(d, kl_lo, kl_hi - kl_lo, nj_lo, nj_hi - nj_lo).into_vec()
-            } else {
-                Vec::new()
-            };
-            let pb = i_comm.ibcast(0, b_payload);
-            let la = rank.mem().lease_or_panic(a_len as u64);
-            let a_buf = pa.wait();
-            let lb = rank.mem().lease_or_panic(b_len as u64);
-            let b_buf = pb.wait();
-            (a_buf, b_buf, la, lb)
-        }
+    // Post both face broadcasts before waiting for either, so the two
+    // trees' sends are in flight concurrently.
+    // A(i,l): materialized on the j=0 face, broadcast along j.
+    let a_payload = if j == 0 {
+        shard_a::<T>(d, mi_lo, mi_hi - mi_lo, kl_lo, kl_hi - kl_lo).into_vec()
+    } else {
+        Vec::new()
     };
+    let pa = j_comm.ibcast(0, a_payload);
+    // B(l,j): materialized on the i=0 face, broadcast along i.
+    let b_payload = if i == 0 {
+        shard_b::<T>(d, kl_lo, kl_hi - kl_lo, nj_lo, nj_hi - nj_lo).into_vec()
+    } else {
+        Vec::new()
+    };
+    let pb = i_comm.ibcast(0, b_payload);
+    let _la = rank.mem().lease_or_panic(a_len as u64);
+    let a_buf = pa.wait();
+    let _lb = rank.mem().lease_or_panic(b_len as u64);
+    let b_buf = pb.wait();
 
     // Local partial product.
     let a_m = Matrix::from_vec(mi_hi - mi_lo, kl_hi - kl_lo, a_buf);
@@ -108,8 +82,7 @@ pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank.time_compute(|| local_matmul(kernel, &mut c_part, &a_m, &b_m));
 
     // Reduce partials over l to the l = 0 face. The broadcast phase is
-    // stamped step 0 (the default) in both modes; the reduction is its
-    // own step.
+    // stamped step 0 (the default); the reduction is its own step.
     rank.set_step(1);
     let mut c_buf = c_part.into_vec();
     l_comm.reduce(0, &mut c_buf);
@@ -127,9 +100,9 @@ pub fn dns3d_analytic_volume(d: &MatmulDims, p1: usize) -> u128 {
 
 /// Drive a 3D run on `p₁³` ranks; verify the `l = 0` face blocks.
 pub fn run_dns3d(d: MatmulDims, p1: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
-    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
+    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(p1 * p1 * p1, cfg, |rank| {
-        dns3d_rank_body::<f64>(rank, &d, p1, kernel, mode)
+        dns3d_rank_body::<f64>(rank, &d, p1, kernel)
     })?;
     // Collect the l = 0 face in (i, j) row-major order for verification.
     let grid = CartGrid::new(vec![p1, p1, p1]);

@@ -29,10 +29,10 @@
 //! multiply-phase traffic; the CNN side's `cost_I` is charged
 //! separately, as the paper does).
 //!
-//! Each `run_x` driver resolves the local kernel and comm mode from the
-//! environment once, on the calling thread, and passes them to every
-//! rank body; rank failures (injected crashes, deadlocks, OOM) come
-//! back as a `RunError`.
+//! Each `run_x` driver resolves the local kernel from the environment
+//! once, on the calling thread, and passes it to every rank body; rank
+//! failures (injected crashes, deadlocks, OOM) come back as a
+//! `RunError`.
 
 #![warn(missing_docs)]
 

@@ -30,7 +30,7 @@
 use crate::common::{shard_a, shard_b, MatmulDims, MmReport};
 use crate::local::local_matmul;
 use crate::summa::verify_blocks;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
@@ -56,19 +56,16 @@ fn slab_panels(s_lo: usize, s_hi: usize, k: usize, p1: usize) -> Vec<usize> {
 /// Per-rank 2.5D body: returns this rank's reduced `C` block on layer 0
 /// (empty matrix on other layers).
 ///
-/// In [`CommMode::Overlapped`], the per-layer SUMMA panel loop is
-/// double-buffered exactly as in
-/// [`summa_rank_body`](crate::summa::summa_rank_body): the
-/// broadcasts for panel `t+1` are posted before panel `t` is waited
-/// for and multiplied. The slab redistribution (layer 0's eager
-/// point-to-point sends) and the final reduction are unchanged.
+/// The per-layer SUMMA panel loop is double-buffered exactly as in
+/// [`summa_rank_body`](crate::summa::summa_rank_body): the broadcasts
+/// for panel `t+1` are posted before panel `t` is waited for and
+/// multiplied.
 pub fn s25d_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     p1: usize,
     c: usize,
     kernel: LocalKernel,
-    mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), c * p1 * p1, "grid size mismatch");
     let grid = CartGrid::new(vec![c, p1, p1]);
@@ -160,74 +157,44 @@ pub fn s25d_rank_body<T: Scalar + distconv_simnet::Msg>(
         .map(|w| (w[0], w[1]))
         .collect();
     // Trace stamping: the slab redistribution above is step 0, panel t
-    // is step t+1, the final reduction comes after the panels — and the
-    // pipelined path stamps a posted broadcast with the panel it
-    // carries, so the canonical trace is mode-independent.
-    match mode {
-        CommMode::Blocking => {
-            for (t, &(k0, k1)) in panels.iter().enumerate() {
-                rank.set_step(t as u64 + 1);
-                let kk = k1 - k0;
-                let ja = dist_k.owner(k0);
-                let mut a_panel = if j == ja {
-                    a_slab.pack_block(0, k0 - my_a_cols.0, mi_hi - mi_lo, kk)
-                } else {
-                    vec![T::zero(); (mi_hi - mi_lo) * kk]
-                };
-                let _pl = rank.mem().lease_or_panic(a_panel.len() as u64);
-                row_comm.bcast(ja, &mut a_panel);
-                let ib = dist_k.owner(k0);
-                let mut b_panel = if i == ib {
-                    b_slab.pack_block(k0 - my_b_rows.0, 0, kk, nj_hi - nj_lo)
-                } else {
-                    vec![T::zero(); kk * (nj_hi - nj_lo)]
-                };
-                let _pl2 = rank.mem().lease_or_panic(b_panel.len() as u64);
-                col_comm.bcast(ib, &mut b_panel);
-                let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
-                let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
-                rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
-            }
+    // is step t+1, the final reduction comes after the panels. A posted
+    // broadcast is stamped with the panel it carries.
+    let post = |k0: usize, k1: usize| {
+        let kk = k1 - k0;
+        let ja = dist_k.owner(k0);
+        let a_payload = if j == ja {
+            a_slab.pack_block(0, k0 - my_a_cols.0, mi_hi - mi_lo, kk)
+        } else {
+            Vec::new()
+        };
+        let ib = dist_k.owner(k0);
+        let b_payload = if i == ib {
+            b_slab.pack_block(k0 - my_b_rows.0, 0, kk, nj_hi - nj_lo)
+        } else {
+            Vec::new()
+        };
+        (
+            row_comm.ibcast(ja, a_payload),
+            col_comm.ibcast(ib, b_payload),
+        )
+    };
+    rank.set_step(1);
+    let mut pending = panels.first().map(|&(k0, k1)| post(k0, k1));
+    for (t, &(k0, k1)) in panels.iter().enumerate() {
+        let (pa, pb) = pending.take().expect("pipeline primed");
+        if let Some(&(n0, n1)) = panels.get(t + 1) {
+            rank.set_step(t as u64 + 2);
+            pending = Some(post(n0, n1));
         }
-        CommMode::Overlapped => {
-            let post = |k0: usize, k1: usize| {
-                let kk = k1 - k0;
-                let ja = dist_k.owner(k0);
-                let a_payload = if j == ja {
-                    a_slab.pack_block(0, k0 - my_a_cols.0, mi_hi - mi_lo, kk)
-                } else {
-                    Vec::new()
-                };
-                let ib = dist_k.owner(k0);
-                let b_payload = if i == ib {
-                    b_slab.pack_block(k0 - my_b_rows.0, 0, kk, nj_hi - nj_lo)
-                } else {
-                    Vec::new()
-                };
-                (
-                    row_comm.ibcast(ja, a_payload),
-                    col_comm.ibcast(ib, b_payload),
-                )
-            };
-            rank.set_step(1);
-            let mut pending = panels.first().map(|&(k0, k1)| post(k0, k1));
-            for (t, &(k0, k1)) in panels.iter().enumerate() {
-                let (pa, pb) = pending.take().expect("pipeline primed");
-                if let Some(&(n0, n1)) = panels.get(t + 1) {
-                    rank.set_step(t as u64 + 2);
-                    pending = Some(post(n0, n1));
-                }
-                rank.set_step(t as u64 + 1);
-                let kk = k1 - k0;
-                let _pl = rank.mem().lease_or_panic(((mi_hi - mi_lo) * kk) as u64);
-                let a_panel = pa.wait();
-                let _pl2 = rank.mem().lease_or_panic((kk * (nj_hi - nj_lo)) as u64);
-                let b_panel = pb.wait();
-                let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
-                let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
-                rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
-            }
-        }
+        rank.set_step(t as u64 + 1);
+        let kk = k1 - k0;
+        let _pl = rank.mem().lease_or_panic(((mi_hi - mi_lo) * kk) as u64);
+        let a_panel = pa.wait();
+        let _pl2 = rank.mem().lease_or_panic((kk * (nj_hi - nj_lo)) as u64);
+        let b_panel = pb.wait();
+        let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
+        let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
+        rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
     }
 
     // --- Step 3: reduce partial C along l to layer 0. ---
@@ -260,9 +227,9 @@ pub fn run_25d(
     c: usize,
     cfg: MachineConfig,
 ) -> Result<MmReport, RunError> {
-    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
+    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(c * p1 * p1, cfg, |rank| {
-        s25d_rank_body::<f64>(rank, &d, p1, c, kernel, mode)
+        s25d_rank_body::<f64>(rank, &d, p1, c, kernel)
     })?;
     let grid = CartGrid::new(vec![c, p1, p1]);
     let mut face = Vec::with_capacity(p1 * p1);

@@ -14,7 +14,7 @@
 
 use crate::common::{full_a, full_b, shard_a, shard_b, MatmulDims, MmReport};
 use crate::local::local_matmul;
-use distconv_par::{CommMode, LocalKernel};
+use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::matrix::matmul_acc;
 use distconv_tensor::shape::BlockDist;
@@ -39,19 +39,15 @@ pub(crate) fn panel_bounds(k: usize, pr: usize, pc: usize) -> Vec<usize> {
 ///
 /// `rank.id()` is interpreted row-major on the `pr × pc` grid.
 ///
-/// In [`CommMode::Overlapped`], the panel loop is double-buffered: the
-/// two broadcasts for panel `t+1` are *posted* (root sends go out
-/// immediately) before panel `t` is waited for and multiplied. Panel
-/// order, broadcast trees, payloads, and the accumulation order into
-/// `C` are identical to the blocking path, so results are bitwise
-/// equal and the traffic counters unchanged.
+/// The panel loop is double-buffered: the two broadcasts for panel
+/// `t+1` are *posted* (root sends go out immediately) before panel `t`
+/// is waited for and multiplied.
 pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     pr: usize,
     pc: usize,
     kernel: LocalKernel,
-    mode: CommMode,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), pr * pc, "grid size mismatch");
     let grid = CartGrid::new(vec![pr, pc]);
@@ -85,82 +81,48 @@ pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
         .filter(|w| w[0] < w[1])
         .map(|w| (w[0], w[1]))
         .collect();
-    // Trace stamping: panel t's broadcasts and multiply are stamped t
-    // in both modes — the pipelined path stamps a posted broadcast with
-    // the panel it carries, so the canonical trace is mode-independent.
-    match mode {
-        CommMode::Blocking => {
-            for (t, &(k0, k1)) in panels.iter().enumerate() {
-                rank.set_step(t as u64);
-                let kk = k1 - k0;
-                // --- A panel: owner column broadcasts along the row. ---
-                let ja = cols_k_a.owner(k0);
-                let mut a_panel = if j == ja {
-                    a_block.pack_block(0, k0 - ka_lo, mi_hi - mi_lo, kk)
-                } else {
-                    vec![T::zero(); (mi_hi - mi_lo) * kk]
-                };
-                let _pl = rank.mem().lease_or_panic(a_panel.len() as u64);
-                row_comm.bcast(ja, &mut a_panel);
-                // --- B panel: owner row broadcasts along the column. ---
-                let ib = rows_k_b.owner(k0);
-                let mut b_panel = if i == ib {
-                    b_block.pack_block(k0 - kb_lo, 0, kk, nj_hi - nj_lo)
-                } else {
-                    vec![T::zero(); kk * (nj_hi - nj_lo)]
-                };
-                let _pl2 = rank.mem().lease_or_panic(b_panel.len() as u64);
-                col_comm.bcast(ib, &mut b_panel);
-                // --- Local block product. ---
-                let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
-                let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
-                rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
-            }
+    // Post both broadcasts for a panel: the owner packs its piece and
+    // its tree sends go out immediately; non-owners pass an empty
+    // payload (ignored — they receive on wait).
+    let post = |k0: usize, k1: usize| {
+        let kk = k1 - k0;
+        let ja = cols_k_a.owner(k0);
+        let a_payload = if j == ja {
+            a_block.pack_block(0, k0 - ka_lo, mi_hi - mi_lo, kk)
+        } else {
+            Vec::new()
+        };
+        let ib = rows_k_b.owner(k0);
+        let b_payload = if i == ib {
+            b_block.pack_block(k0 - kb_lo, 0, kk, nj_hi - nj_lo)
+        } else {
+            Vec::new()
+        };
+        (
+            row_comm.ibcast(ja, a_payload),
+            col_comm.ibcast(ib, b_payload),
+        )
+    };
+    // Prime the pipeline with panel 0, then per step: post the
+    // broadcasts for panel t+1, wait for panel t, multiply. A posted
+    // broadcast is stamped with the panel it carries.
+    rank.set_step(0);
+    let mut pending = panels.first().map(|&(k0, k1)| post(k0, k1));
+    for (t, &(k0, k1)) in panels.iter().enumerate() {
+        let (pa, pb) = pending.take().expect("pipeline primed");
+        if let Some(&(n0, n1)) = panels.get(t + 1) {
+            rank.set_step(t as u64 + 1);
+            pending = Some(post(n0, n1));
         }
-        CommMode::Overlapped => {
-            // Post both broadcasts for a panel: the owner packs its
-            // piece and its tree sends go out immediately; non-owners
-            // pass an empty payload (ignored — they receive on wait).
-            let post = |k0: usize, k1: usize| {
-                let kk = k1 - k0;
-                let ja = cols_k_a.owner(k0);
-                let a_payload = if j == ja {
-                    a_block.pack_block(0, k0 - ka_lo, mi_hi - mi_lo, kk)
-                } else {
-                    Vec::new()
-                };
-                let ib = rows_k_b.owner(k0);
-                let b_payload = if i == ib {
-                    b_block.pack_block(k0 - kb_lo, 0, kk, nj_hi - nj_lo)
-                } else {
-                    Vec::new()
-                };
-                (
-                    row_comm.ibcast(ja, a_payload),
-                    col_comm.ibcast(ib, b_payload),
-                )
-            };
-            // Prime the pipeline with panel 0, then per step: post the
-            // broadcasts for panel t+1, wait for panel t, multiply.
-            rank.set_step(0);
-            let mut pending = panels.first().map(|&(k0, k1)| post(k0, k1));
-            for (t, &(k0, k1)) in panels.iter().enumerate() {
-                let (pa, pb) = pending.take().expect("pipeline primed");
-                if let Some(&(n0, n1)) = panels.get(t + 1) {
-                    rank.set_step(t as u64 + 1);
-                    pending = Some(post(n0, n1));
-                }
-                rank.set_step(t as u64);
-                let kk = k1 - k0;
-                let _pl = rank.mem().lease_or_panic(((mi_hi - mi_lo) * kk) as u64);
-                let a_panel = pa.wait();
-                let _pl2 = rank.mem().lease_or_panic((kk * (nj_hi - nj_lo)) as u64);
-                let b_panel = pb.wait();
-                let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
-                let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
-                rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
-            }
-        }
+        rank.set_step(t as u64);
+        let kk = k1 - k0;
+        let _pl = rank.mem().lease_or_panic(((mi_hi - mi_lo) * kk) as u64);
+        let a_panel = pa.wait();
+        let _pl2 = rank.mem().lease_or_panic((kk * (nj_hi - nj_lo)) as u64);
+        let b_panel = pb.wait();
+        let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
+        let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
+        rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
     }
     c_block
 }
@@ -179,9 +141,9 @@ pub fn run_summa(
     pc: usize,
     cfg: MachineConfig,
 ) -> Result<MmReport, RunError> {
-    let (kernel, mode) = (LocalKernel::from_env(), CommMode::from_env());
+    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(pr * pc, cfg, |rank| {
-        summa_rank_body::<f64>(rank, &d, pr, pc, kernel, mode)
+        summa_rank_body::<f64>(rank, &d, pr, pc, kernel)
     })?;
     let verified = verify_blocks(&d, pr, pc, &report.results);
     Ok(MmReport {
@@ -313,6 +275,22 @@ mod tests {
         let rep = r.conformance("summa");
         assert!(!rep.pass());
         assert_eq!(rep.failures()[0].name, "summa/total-volume");
+    }
+
+    #[test]
+    fn overlapped_pipeline_records_timing_breakdown() {
+        use distconv_simnet::Machine;
+        let kernel = LocalKernel::from_env();
+        // The point of the pipeline: the report's timing breakdown has
+        // both a comm-wait and a compute component (host wall time, not
+        // part of the deterministic counters).
+        let d = MatmulDims::new(48, 48, 48);
+        let report = Machine::run::<f64, _, _>(4, MachineConfig::default(), move |rank| {
+            summa_rank_body(rank, &d, 2, 2, kernel)
+        });
+        let t = report.timing;
+        assert!(t.compute_ns > 0, "compute time should be recorded");
+        assert!(t.comm_wait_ns > 0, "comm-wait time should be recorded");
     }
 
     #[test]

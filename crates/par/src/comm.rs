@@ -1,54 +1,44 @@
-//! [`CommMode`]: whether executors run their communication schedules
-//! blocking or overlapped with compute.
+//! [`CommMode`]: the name of the communication schedule every executor
+//! runs.
 //!
-//! Like [`crate::kernel::LocalKernel`], this is a runtime policy of the
-//! execution substrate, not a property of any one algorithm: every
-//! distmm step loop and the GVM executor's tile exchange carry both a
-//! blocking reference path and a double-buffered pipelined path that
-//! posts step `t+1`'s transfers before computing step `t`. The two
-//! paths move the same bytes in the same per-link order and accumulate
-//! in the same order, so switching modes never changes results or
-//! algorithmic traffic counters — only *when* ranks wait.
+//! Every distmm step loop and the CNN executor's tile exchange run one
+//! double-buffered pipeline that posts step `t+1`'s transfers before
+//! computing step `t`. There is no other schedule to select; the type
+//! remains so that run provenance can name the schedule, and so that a
+//! stale `DISTCONV_COMM=blocking` fails loudly instead of being
+//! ignored.
 
 /// How executors schedule communication relative to compute.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommMode {
-    /// Reference schedule: complete each transfer before computing the
-    /// step that consumed it. Wall-clock is `comm + comp`.
-    Blocking,
     /// Double-buffered pipeline: post step `t+1`'s transfers, compute
     /// step `t`, then wait. Wall-clock approaches `max(comm, comp)`.
-    #[default]
     Overlapped,
 }
 
-/// Env override, read by [`CommMode::from_env`]:
-/// `blocking`/`block`/`sync` selects [`CommMode::Blocking`],
-/// `overlapped`/`overlap`/`async` selects [`CommMode::Overlapped`],
-/// unset means the default ([`CommMode::Overlapped`]). Any other value
-/// is a hard error — a typo must never silently become the default.
-pub const COMM_MODE_ENV: &str = "DISTCONV_COMM";
+/// Env variable read by [`CommMode::from_env`]: unset, or one of
+/// `overlapped`/`overlap`/`async`. Any other value is a hard error.
+const COMM_MODE_ENV: &str = "DISTCONV_COMM";
 
 impl CommMode {
-    /// Parse an explicit mode spelling. `Err` carries the full
+    /// Check an explicit mode spelling. `Err` carries the full
     /// diagnostic (offending value plus every accepted spelling).
-    pub fn parse(v: &str) -> Result<Self, String> {
+    fn parse(v: &str) -> Result<Self, String> {
         match v.trim() {
-            "blocking" | "block" | "sync" => Ok(CommMode::Blocking),
             "overlapped" | "overlap" | "async" => Ok(CommMode::Overlapped),
+            "blocking" | "block" | "sync" => Err(format!(
+                "{COMM_MODE_ENV}={v:?}: the blocking comm mode was removed; every executor \
+                 runs the overlapped pipeline (unset {COMM_MODE_ENV} or set it to \"overlapped\")"
+            )),
             other => Err(format!(
-                "unrecognized {COMM_MODE_ENV} value {other:?}: expected one of \
-                 \"blocking\"/\"block\"/\"sync\" or \"overlapped\"/\"overlap\"/\"async\" \
-                 (or unset for the default, overlapped)"
+                "unrecognized {COMM_MODE_ENV} value {other:?}: expected \
+                 \"overlapped\"/\"overlap\"/\"async\" (or unset)"
             )),
         }
     }
 
-    /// Resolve the mode from [`COMM_MODE_ENV`], falling back to the
-    /// default ([`CommMode::Overlapped`]) only when the variable is
-    /// unset. An unrecognized value panics with the accepted spellings.
-    /// Drivers call this once per run; tests pass the mode explicitly
-    /// instead (env mutation is racy under a parallel test harness).
+    /// The mode, after checking `DISTCONV_COMM`: a set value that is
+    /// not an overlapped spelling panics with the diagnostic.
     pub fn from_env() -> Self {
         match std::env::var(COMM_MODE_ENV) {
             Ok(v) => Self::parse(&v).unwrap_or_else(|e| panic!("{e}")),
@@ -59,7 +49,6 @@ impl CommMode {
     /// Short display name.
     pub fn name(&self) -> &'static str {
         match self {
-            CommMode::Blocking => "blocking",
             CommMode::Overlapped => "overlapped",
         }
     }
@@ -70,31 +59,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_overlapped() {
-        assert_eq!(CommMode::default(), CommMode::Overlapped);
+    fn parse_accepts_every_overlapped_spelling() {
+        for v in ["overlapped", "overlap", "async", " overlapped "] {
+            assert_eq!(CommMode::parse(v), Ok(CommMode::Overlapped), "{v:?}");
+        }
         assert_eq!(CommMode::Overlapped.name(), "overlapped");
-        assert_eq!(CommMode::Blocking.name(), "blocking");
     }
 
     #[test]
-    fn parse_accepts_every_documented_spelling() {
-        for v in ["blocking", "block", "sync", " blocking "] {
-            assert_eq!(CommMode::parse(v), Ok(CommMode::Blocking), "{v:?}");
-        }
-        for v in ["overlapped", "overlap", "async"] {
-            assert_eq!(CommMode::parse(v), Ok(CommMode::Overlapped), "{v:?}");
+    fn parse_rejects_the_removed_blocking_mode() {
+        for v in ["blocking", "block", "sync"] {
+            let err = CommMode::parse(v).expect_err("blocking was removed");
+            assert!(err.contains("removed"), "says why: {err}");
+            assert!(err.contains("DISTCONV_COMM"), "names the knob: {err}");
         }
     }
 
     #[test]
     fn parse_rejects_typos_with_a_clear_message() {
-        // The motivating bug: "overlaped" used to fall through to the
-        // default silently.
+        // A typo must never silently become the default.
         let err = CommMode::parse("overlaped").expect_err("typo must be rejected");
         assert!(err.contains("overlaped"), "names the offender: {err}");
         assert!(err.contains("DISTCONV_COMM"), "names the knob: {err}");
-        assert!(err.contains("\"blocking\""), "lists spellings: {err}");
+        assert!(err.contains("\"overlapped\""), "lists spellings: {err}");
         assert!(CommMode::parse("").is_err());
-        assert!(CommMode::parse("Blocking").is_err(), "case-sensitive");
+        assert!(CommMode::parse("Overlapped").is_err(), "case-sensitive");
     }
 }

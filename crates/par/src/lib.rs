@@ -16,9 +16,9 @@
 //! * [`kernel`] — the [`kernel::LocalKernel`] runtime policy selecting
 //!   between the paper-literal reference compute kernels and the packed
 //!   GEMM fast path (`DISTCONV_LOCAL_KERNEL` to override).
-//! * [`comm`] — the [`comm::CommMode`] runtime policy selecting between
-//!   blocking and overlapped (double-buffered) communication schedules
-//!   (`DISTCONV_COMM` to override).
+//! * [`comm`] — [`comm::CommMode`], the name of the one (overlapped,
+//!   double-buffered) communication schedule, for run provenance;
+//!   `DISTCONV_COMM` accepts only that schedule.
 //! * [`budget`] — the shared thread-budget arbiter: while a simulated
 //!   machine's `P` rank threads run, each rank's pool gets
 //!   `max(1, cores/P)` workers instead of all cores.

@@ -233,8 +233,8 @@ impl<'a, T: Msg> Communicator<'a, T> {
     /// collectives between post and wait as long as every member posts
     /// collectives on this communicator in the same order — the usual
     /// SPMD contract, unchanged. The message tree and per-edge order are
-    /// identical to the blocking [`Communicator::bcast`], which keeps
-    /// volumes, counters and makespans mode-independent.
+    /// identical to the blocking [`Communicator::bcast`], so both charge
+    /// the same volumes and counters.
     pub fn ibcast(&self, root: usize, payload: Vec<T>) -> PendingBcast<'_, 'a, T> {
         let n = self.size();
         assert!(root < n, "bcast root {root} out of range");

@@ -67,9 +67,7 @@ pub use comm::{BcastAlgo, CommError, Communicator, PendingBcast, PendingRecv};
 pub use event::{Backend, ComputeModel};
 pub use fault::{CrashAt, FaultPlan, FaultPlanError, Straggler, CRASH_MARKER, MAX_SEND_ATTEMPTS};
 pub use grid::CartGrid;
-pub use machine::{
-    FailureKind, LinkDelay, Machine, MachineConfig, RankFailure, RunError, RunReport,
-};
+pub use machine::{FailureKind, Machine, MachineConfig, RankFailure, RunError, RunReport};
 pub use memory::{MemLease, MemoryError, MemoryTracker};
 pub use rank::{Msg, Rank, RankId, Tag, TrafficClass};
 pub use stats::{CostParams, FaultTraffic, RedistTraffic, Stats, StatsSnapshot, TimingSnapshot};

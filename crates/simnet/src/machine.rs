@@ -34,9 +34,6 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan (default: all-zero no-op —
     /// the transport takes the exact fault-free code path).
     pub faults: FaultPlan,
-    /// Real-time link emulation (default: off — delivery is
-    /// memcpy-fast and all α–β costs stay analytic).
-    pub link: LinkDelay,
     /// Structured span tracing (default: on, per-rank ring buffers;
     /// see `distconv_trace`).
     pub trace: TraceConfig,
@@ -55,61 +52,9 @@ impl Default for MachineConfig {
             recv_timeout: Duration::from_secs(30),
             cost: CostParams::default(),
             faults: FaultPlan::default(),
-            link: LinkDelay::default(),
             trace: TraceConfig::default(),
             backend: Backend::from_env(),
             compute: ComputeModel::default(),
-        }
-    }
-}
-
-/// Optional *wall-clock* α–β link emulation: each delivered payload is
-/// held at the receiver until `alpha + beta·n` of real time has passed
-/// since it went on the wire.
-///
-/// The in-process transport is otherwise memcpy-fast, which makes the
-/// wire and the compute contend for the *same* resource (host memory
-/// bandwidth) — on such a machine overlap cannot win by construction.
-/// This knob models a network interface that runs beside the cores:
-/// the delay elapses concurrently with whatever the receiving rank does
-/// between post and wait, so a pipelined executor genuinely hides it.
-/// Off by default; results, counters, Lamport clocks and the fault
-/// machinery are unaffected either way (the hold happens after the
-/// packet is matched, on content that is already final).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LinkDelay {
-    /// Per-message latency.
-    pub alpha: Duration,
-    /// Per-element transfer time, nanoseconds.
-    pub beta_ns_per_elem: f64,
-}
-
-impl LinkDelay {
-    /// An α–β wall-clock link.
-    pub fn new(alpha: Duration, beta_ns_per_elem: f64) -> Self {
-        LinkDelay {
-            alpha,
-            beta_ns_per_elem,
-        }
-    }
-
-    /// True for the default (no emulation — the exact legacy path).
-    pub fn is_off(&self) -> bool {
-        self.alpha.is_zero() && self.beta_ns_per_elem <= 0.0
-    }
-
-    /// Wire time of an `n`-element message.
-    pub fn wire_time(&self, n: usize) -> Duration {
-        self.alpha + Duration::from_nanos((self.beta_ns_per_elem * n as f64) as u64)
-    }
-
-    /// The same α–β line expressed as [`CostParams`]: the bridge from
-    /// wall-clock link emulation (thread backend) to the virtual clock
-    /// (event backend), so one network description drives both.
-    pub fn cost_params(&self) -> CostParams {
-        CostParams {
-            alpha: self.alpha.as_secs_f64(),
-            beta: self.beta_ns_per_elem * 1e-9,
         }
     }
 }

@@ -42,7 +42,7 @@
 use crate::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use crate::event::{ComputeModel, EventScheduler};
 use crate::fault::{FaultPlan, CRASH_MARKER, MAX_SEND_ATTEMPTS};
-use crate::machine::{LinkDelay, MachineConfig};
+use crate::machine::MachineConfig;
 use crate::memory::MemoryTracker;
 use crate::stats::{CostParams, Stats};
 use distconv_trace::{SpanEvent, SpanKind, Tracer};
@@ -86,13 +86,6 @@ pub(crate) struct Packet<T> {
     pub tag: Tag,
     pub data: Vec<T>,
     pub sent_at: f64,
-    /// Wall-clock transmit instant — stamped and consulted only when the
-    /// machine's [`crate::LinkDelay`] emulation is on (thread backend).
-    /// `None` everywhere else: on the event backend time is *virtual*,
-    /// so a wall-clock stamp would be meaningless — retransmit backoff
-    /// and delivery eligibility are derived from `sent_at` (the α–β
-    /// Lamport clock) instead.
-    pub sent_wall: Option<std::time::Instant>,
     pub kind: PacketKind,
     /// Per-`(src → dst, tag)` sequence number: FIFO reassembly and
     /// duplicate suppression under the reliable transport.
@@ -132,7 +125,6 @@ pub struct Rank<T: Msg> {
     mem: MemoryTracker,
     timeout: Duration,
     cost: CostParams,
-    link: LinkDelay,
     faults: FaultPlan,
     /// Cached straggler clock multiplier for this rank (1.0 normally).
     straggle: f64,
@@ -160,8 +152,7 @@ pub struct Rank<T: Msg> {
     /// Virtual-clock charge for compute sections (default: free).
     compute: ComputeModel,
     /// Current schedule step, stamped onto every recorded span.
-    /// Executors advance it via [`Rank::set_step`] so that blocking and
-    /// pipelined schedules stamp the same traffic with the same step.
+    /// Executors advance it via [`Rank::set_step`].
     step: Cell<u64>,
     /// Accounting bucket for subsequent sends (see [`TrafficClass`]).
     traffic_class: Cell<TrafficClass>,
@@ -190,7 +181,6 @@ impl<T: Msg> Rank<T> {
             mem,
             timeout: cfg.recv_timeout,
             cost: cfg.cost,
-            link: cfg.link,
             faults: cfg.faults,
             straggle: cfg.faults.straggle_factor(id),
             crash_at: cfg.faults.crashes_at(id),
@@ -213,28 +203,13 @@ impl<T: Msg> Rank<T> {
         self.clock.get()
     }
 
-    /// Wall-clock stamp for an outgoing packet: taken only when the
-    /// [`LinkDelay`] emulation will actually read it. With emulation
-    /// off — the event backend's normal configuration — packets carry
-    /// no wall time at all: the clock is virtual, retransmit timing is
-    /// analytic, and `Instant::now()` per packet would be a pointless
-    /// syscall on the hot path. When `LinkDelay` is explicitly on it
-    /// still sleeps real time on either backend (DESIGN.md §10).
-    fn wall_stamp(&self) -> Option<std::time::Instant> {
-        (!self.link.is_off()).then(std::time::Instant::now)
-    }
-
     /// Set the schedule step stamped onto subsequently recorded spans.
     /// Pipelined executors call this with the step of the *payload*
-    /// being posted or awaited, keeping canonical traces identical to
-    /// the blocking schedule's. No-op semantics aside from tracing.
+    /// being posted or awaited, so a posted transfer is stamped with
+    /// the step that consumes it, not the step that posted it. No-op
+    /// semantics aside from tracing.
     pub fn set_step(&self, step: u64) {
         self.step.set(step);
-    }
-
-    /// The schedule step currently stamped onto recorded spans.
-    pub fn current_step(&self) -> u64 {
-        self.step.get()
     }
 
     /// Set the accounting bucket for subsequent sends. Multi-layer
@@ -344,7 +319,6 @@ impl<T: Msg> Rank<T> {
                 tag,
                 data,
                 sent_at: self.clock.get(),
-                sent_wall: self.wall_stamp(),
                 kind: PacketKind::Data,
                 seq: 0,
                 wire: 0,
@@ -532,7 +506,6 @@ impl<T: Msg> Rank<T> {
             tag,
             data,
             sent_at,
-            sent_wall: self.wall_stamp(),
             kind: PacketKind::Data,
             seq,
             wire,
@@ -630,7 +603,6 @@ impl<T: Msg> Rank<T> {
                 tag: pkt.tag,
                 data: Vec::new(),
                 sent_at: self.clock.get(),
-                sent_wall: self.wall_stamp(),
                 kind: PacketKind::Ack,
                 seq: pkt.seq,
                 wire: pkt.wire,
@@ -704,7 +676,7 @@ impl<T: Msg> Rank<T> {
         if let Some(seq) = expected {
             self.recv_next.borrow_mut().insert((src, tag), seq + 1);
         }
-        self.arrive(&pkt);
+        self.observe_arrival(pkt.src, pkt.sent_at);
         pkt.data
     }
 
@@ -762,41 +734,11 @@ impl<T: Msg> Rank<T> {
         self.pending.borrow().len()
     }
 
-    /// A matched payload reaches the application: advance the Lamport
-    /// clock and, when link emulation is on, hold until the message's
-    /// wall-clock wire time has elapsed.
-    fn arrive(&self, pkt: &Packet<T>) {
-        self.observe_arrival(pkt.src, pkt.sent_at);
-        self.link_wait(pkt);
-    }
-
     /// Advance the logical clock to a received message's arrival time
     /// (Lamport max; self-sends carry our own clock and are no-ops).
     fn observe_arrival(&self, src: RankId, sent_at: f64) {
         if src != self.id {
             self.clock.set(self.clock.get().max(sent_at));
-        }
-    }
-
-    /// Hold the receiver until `alpha + beta·n` of real time has passed
-    /// since the packet went on the wire (see [`LinkDelay`]). Time
-    /// already spent elsewhere since the send — compute, other waits —
-    /// counts toward the deadline, which is exactly what lets pipelined
-    /// executors hide the wire. No-op when emulation is off or for
-    /// self-sends (local copies).
-    fn link_wait(&self, pkt: &Packet<T>) {
-        if self.link.is_off() || pkt.src == self.id {
-            return;
-        }
-        // Unstamped packets come from the event backend, where the wire
-        // is already charged on the virtual clock — nothing to emulate.
-        let Some(sent_wall) = pkt.sent_wall else {
-            return;
-        };
-        let deadline = sent_wall + self.link.wire_time(pkt.data.len());
-        let now = std::time::Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
         }
     }
 }
@@ -945,64 +887,6 @@ mod tests {
         });
         assert!(report.timing.compute_ns >= 2_000_000);
         assert!(report.timing.comm_wait_ns > 0);
-    }
-
-    #[test]
-    fn link_delay_holds_delivery_until_wire_time() {
-        use crate::machine::LinkDelay;
-        let cfg = MachineConfig {
-            link: LinkDelay::new(Duration::from_millis(20), 0.0),
-            ..MachineConfig::default()
-        };
-        let report = Machine::run::<u64, _, _>(2, cfg, |rank| {
-            if rank.id() == 0 {
-                rank.send(1, 1, &[7]);
-                Duration::ZERO
-            } else {
-                let t0 = std::time::Instant::now();
-                let got = rank.recv(0, 1);
-                assert_eq!(got, vec![7]);
-                t0.elapsed()
-            }
-        });
-        // The receiver posted its recv at spawn, well inside the 20 ms
-        // window, so it must have been held for most of it.
-        assert!(
-            report.results[1] >= Duration::from_millis(10),
-            "recv returned after {:?}, before the emulated wire time",
-            report.results[1]
-        );
-        // Emulation must not leak into the analytic counters or clocks.
-        assert_eq!(report.stats.total_msgs(), 1);
-        assert_eq!(report.stats.total_elems(), 1);
-    }
-
-    #[test]
-    fn link_delay_elapses_concurrently_with_receiver_work() {
-        use crate::machine::LinkDelay;
-        let cfg = MachineConfig {
-            link: LinkDelay::new(Duration::from_millis(20), 0.0),
-            ..MachineConfig::default()
-        };
-        let report = Machine::run::<u64, _, _>(2, cfg, |rank| {
-            if rank.id() == 0 {
-                rank.send(1, 1, &[7]);
-                Duration::ZERO
-            } else {
-                // Busy past the wire time before waiting: the hold must
-                // find the deadline already passed.
-                std::thread::sleep(Duration::from_millis(30));
-                let t0 = std::time::Instant::now();
-                let got = rank.recv(0, 1);
-                assert_eq!(got, vec![7]);
-                t0.elapsed()
-            }
-        });
-        assert!(
-            report.results[1] < Duration::from_millis(15),
-            "wait blocked {:?} although the wire time was already hidden",
-            report.results[1]
-        );
     }
 
     // ---- fault-layer tests -------------------------------------------

@@ -16,7 +16,7 @@
 //!
 //! * the **canonical** view ([`RunTrace::canonical`]) strips wall-clock
 //!   fields and sorts spans by `(rank, step, kind, peer, tag, elems)` —
-//!   deterministic across thread counts and comm modes, compared
+//!   deterministic across thread counts and backends, compared
 //!   bit-for-bit by the determinism suites and digested for goldens;
 //! * the **timeline** view ([`RunTrace::to_chrome_json`]) keeps the
 //!   wall-clock fields and exports Chrome trace-event JSON (open in

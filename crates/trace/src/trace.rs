@@ -184,9 +184,9 @@ impl RunTrace {
 
     /// The deterministic view: every span with wall-clock fields
     /// stripped, sorted by `(rank, step, kind, peer, tag, elems)`.
-    /// Identical across thread counts and comm modes for the same
-    /// schedule — the pipelined executors stamp traffic with the step
-    /// of the payload it carries, not the step they happen to post in.
+    /// Identical across thread counts for the same schedule — the
+    /// pipelined executors stamp traffic with the step of the payload
+    /// it carries, not the step they happen to post in.
     pub fn canonical(&self) -> Vec<CanonicalSpan> {
         let mut out: Vec<CanonicalSpan> = self
             .per_rank
