@@ -44,7 +44,6 @@ pub fn run_data_parallel(
     );
     let dist = BlockDist::new(p.nb, procs);
 
-    let kernel = distconv_conv::LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(procs, cfg, |rank| {
         let comm = Communicator::world(rank);
         let me = rank.id();
@@ -89,7 +88,7 @@ pub fn run_data_parallel(
         // --- Local forward: an independent sub-problem on my batch. ---
         rank.set_step(2);
         let sub = Conv2dProblem::new(my_nb, p.nk, p.nc, p.nh, p.nw, p.nr, p.ns, p.sw, p.sh);
-        let out = rank.time_compute(|| distconv_conv::conv2d(&sub, &in_shard, &ker, kernel));
+        let out = rank.time_compute(|| distconv_conv::conv2d_fast(&sub, &in_shard, &ker));
 
         // --- Training: gradient all-reduce (Horovod). ---
         rank.set_step(3);

@@ -37,7 +37,6 @@ pub fn run_filter_parallel(
     );
     let dist = BlockDist::new(p.nk, procs);
 
-    let kernel = distconv_conv::LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(procs, cfg, |rank| {
         let comm = Communicator::world(rank);
         let me = rank.id();
@@ -78,7 +77,7 @@ pub fn run_filter_parallel(
         // --- Local forward on the feature band. ---
         rank.set_step(2);
         let sub = Conv2dProblem::new(p.nb, my_nk, p.nc, p.nh, p.nw, p.nr, p.ns, p.sw, p.sh);
-        let out = rank.time_compute(|| distconv_conv::conv2d(&sub, &input, &ker_shard, kernel));
+        let out = rank.time_compute(|| distconv_conv::conv2d_fast(&sub, &input, &ker_shard));
         (k_lo, out)
     })?;
 

@@ -20,9 +20,9 @@
 //!
 //! Each scheme executes real data movement on `simnet`, verifies its
 //! result against the sequential reference, and carries an exact
-//! analytic volume that the measured counters must equal. Each `run_x`
-//! resolves the local kernel once, on the calling thread, and returns
-//! rank failures (injected crashes, deadlocks, OOM) as a `RunError`.
+//! analytic volume that the measured counters must equal. Every rank
+//! computes with `conv2d_fast`; each `run_x` returns rank failures
+//! (injected crashes, deadlocks, OOM) as a `RunError`.
 //!
 //! Charging conventions (documented per scheme, consistent with how
 //! the paper charges its own algorithm): one-time weight/input

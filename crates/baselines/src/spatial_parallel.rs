@@ -61,7 +61,6 @@ pub fn run_spatial_parallel(
         );
     }
 
-    let kernel = distconv_conv::LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(procs, cfg, |rank| {
         let comm = Communicator::world(rank);
         let me = rank.id();
@@ -165,7 +164,7 @@ pub fn run_spatial_parallel(
             [0, 0, 0, 0],
             [p.nb, p.nc, p.sw * (my_nw - 1) + p.nr, p.in_h()],
         ));
-        let out = rank.time_compute(|| distconv_conv::conv2d(&sub, &trimmed, &ker, kernel));
+        let out = rank.time_compute(|| distconv_conv::conv2d_fast(&sub, &trimmed, &ker));
         (w_lo, out)
     })?;
 

@@ -20,7 +20,6 @@ use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_distmm::{
     cannon_rank_body, dns3d_rank_body, s25d_rank_body, summa_rank_body, MatmulDims,
 };
-use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Communicator, Machine, MachineConfig, Rank, TimingSnapshot};
 use distconv_tensor::Matrix;
 use distconv_trace::TraceConfig;
@@ -105,17 +104,16 @@ fn bench_distmm_alg<F>(
     derived: &mut Vec<(String, f64)>,
     body: F,
 ) where
-    F: Fn(&Rank<f32>, LocalKernel) -> Matrix<f32> + Send + Sync + Copy,
+    F: Fn(&Rank<f32>) -> Matrix<f32> + Send + Sync + Copy,
 {
     let flops = mm_flops(d);
-    let kernel = LocalKernel::from_env();
     let cfg = MachineConfig::default();
     let mut g = Suite::new(format!("distmm_{alg}_rep"));
     g.bench_flops("overlapped", flops, move || {
-        let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel));
+        let report = Machine::run::<f32, _, _>(p, cfg, body);
         black_box(report.results.len())
     });
-    let report = Machine::run::<f32, _, _>(p, cfg, move |rank| body(rank, kernel));
+    let report = Machine::run::<f32, _, _>(p, cfg, body);
     let (wait_ms, comp_ms) = per_rank_ms(&report.timing, p);
     derived.push((format!("{alg}_comm_wait_ms"), wait_ms));
     derived.push((format!("{alg}_compute_ms"), comp_ms));
@@ -149,7 +147,6 @@ fn bench_gvm_executor(records: &mut Vec<BenchRecord>) {
 fn bench_trace_overhead(records: &mut Vec<BenchRecord>, derived: &mut Vec<(String, f64)>) {
     let d = rep_gemm();
     let flops = mm_flops(&d);
-    let kernel = LocalKernel::from_env();
     let mut g = Suite::new("trace_overhead_rep");
     for (label, trace) in [
         ("traced", TraceConfig::default()),
@@ -160,9 +157,8 @@ fn bench_trace_overhead(records: &mut Vec<BenchRecord>, derived: &mut Vec<(Strin
             ..MachineConfig::default()
         };
         g.bench_flops(label, flops, move || {
-            let report = Machine::run::<f32, _, _>(4, cfg, move |rank| {
-                cannon_rank_body(rank, &d, 2, kernel)
-            });
+            let report =
+                Machine::run::<f32, _, _>(4, cfg, move |rank| cannon_rank_body(rank, &d, 2));
             black_box(report.results.len())
         });
     }
@@ -186,38 +182,18 @@ fn main() {
     bench_collective_starts(&mut records);
 
     let d = rep_gemm();
-    bench_distmm_alg(
-        "cannon",
-        4,
-        &d,
-        &mut records,
-        &mut derived,
-        move |rank, kernel| cannon_rank_body(rank, &d, 2, kernel),
-    );
-    bench_distmm_alg(
-        "summa",
-        4,
-        &d,
-        &mut records,
-        &mut derived,
-        move |rank, kernel| summa_rank_body(rank, &d, 2, 2, kernel),
-    );
-    bench_distmm_alg(
-        "s25d",
-        8,
-        &d,
-        &mut records,
-        &mut derived,
-        move |rank, kernel| s25d_rank_body(rank, &d, 2, 2, kernel),
-    );
-    bench_distmm_alg(
-        "dns3d",
-        8,
-        &d,
-        &mut records,
-        &mut derived,
-        move |rank, kernel| dns3d_rank_body(rank, &d, 2, kernel),
-    );
+    bench_distmm_alg("cannon", 4, &d, &mut records, &mut derived, move |rank| {
+        cannon_rank_body(rank, &d, 2)
+    });
+    bench_distmm_alg("summa", 4, &d, &mut records, &mut derived, move |rank| {
+        summa_rank_body(rank, &d, 2, 2)
+    });
+    bench_distmm_alg("s25d", 8, &d, &mut records, &mut derived, move |rank| {
+        s25d_rank_body(rank, &d, 2, 2)
+    });
+    bench_distmm_alg("dns3d", 8, &d, &mut records, &mut derived, move |rank| {
+        dns3d_rank_body(rank, &d, 2)
+    });
     bench_gvm_executor(&mut records);
     bench_trace_overhead(&mut records, &mut derived);
 

@@ -36,16 +36,16 @@
 //! **Numerical contract:** every output element accumulates its
 //! `(c, r, s)` products in exactly the reference kernel's ascending
 //! order, so results are *bitwise identical* to `conv_tile` /
-//! `conv2d_direct` — not merely within tolerance. Switching
-//! [`LocalKernel`] therefore cannot perturb
-//! golden results or traffic counters.
+//! `conv2d_direct` — not merely within tolerance. The executors run
+//! these kernels and the property suites check them against those
+//! oracles (DESIGN.md §7).
 
 use distconv_cost::Conv2dProblem;
-use distconv_par::{pool, LocalKernel};
+use distconv_par::pool;
 use distconv_tensor::gemm::{gemm_acc_rows, mr_block, pack_transposed};
 use distconv_tensor::{Scalar, Tensor4};
 
-use crate::kernels::{conv2d_direct_par, in_shape, ker_shape, out_shape};
+use crate::kernels::{in_shape, ker_shape, out_shape};
 
 /// `crs` block size for the GEMM loop: 128 column rows of a 56-wide
 /// f32 tile are ~28 KiB — resident in L1/L2 while all `T_k` output
@@ -279,20 +279,6 @@ pub fn conv2d_fast<T: Scalar>(
     out
 }
 
-/// Kernel-selected whole-problem convolution: the entry point the
-/// baseline schemes and examples dispatch through.
-pub fn conv2d<T: Scalar>(
-    p: &Conv2dProblem,
-    input: &Tensor4<T>,
-    ker: &Tensor4<T>,
-    kernel: LocalKernel,
-) -> Tensor4<T> {
-    match kernel {
-        LocalKernel::Reference => conv2d_direct_par(p, input, ker),
-        LocalKernel::Fast => conv2d_fast(p, input, ker),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,15 +347,6 @@ mod tests {
             let b = conv2d_fast(&p, &input, &ker);
             assert_eq!(a.as_slice(), b.as_slice(), "{p:?}");
         }
-    }
-
-    #[test]
-    fn dispatch_selects_both_kernels() {
-        let p = Conv2dProblem::square(1, 2, 2, 4, 3);
-        let (input, ker) = workload::<f64>(&p, 5);
-        let a = conv2d(&p, &input, &ker, LocalKernel::Reference);
-        let b = conv2d(&p, &input, &ker, LocalKernel::Fast);
-        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //!   packed-kernel GEMM on the shared register-blocked micro-kernel,
 //!   bitwise identical to `conv_tile` but several times faster.
 //!
-//! Every kernel here is bitwise equal to the oracle, so executors pick
-//! between the two tile paths via
-//! [`LocalKernel`] without changing a
-//! result (DESIGN.md §7).
+//! Every executor and baseline computes with the [`fast`] kernels; the
+//! [`kernels`] references are the oracles the tests compare them
+//! against bitwise (DESIGN.md §7).
 
 #![warn(missing_docs)]
 
@@ -40,7 +39,6 @@ pub mod fast;
 pub mod gvm;
 pub mod kernels;
 
-pub use distconv_par::LocalKernel;
-pub use fast::{conv2d, conv2d_fast, conv_tile_fast, conv_tile_fast_rows, ConvScratch};
+pub use fast::{conv2d_fast, conv_tile_fast, conv_tile_fast_rows, ConvScratch};
 pub use gvm::{GvmExecutor, GvmMeasurement};
 pub use kernels::{conv2d_direct, conv2d_direct_par, conv_tile, grad_ker};

@@ -8,7 +8,6 @@ use crate::distribution::{in_c_dist, ker_c_dist};
 use crate::layout::{LayerShards, RankLayout};
 use distconv_conv::{conv_tile_fast_rows, ConvScratch};
 use distconv_cost::DistPlan;
-use distconv_par::LocalKernel;
 use distconv_simnet::Rank;
 use distconv_tensor::{conv_input_region, Range4, Scalar, Tensor4};
 
@@ -35,7 +34,6 @@ pub(crate) fn forward_tiles<T: Scalar>(
     rank: &Rank<T>,
     layout: &RankLayout<'_, T>,
     shards: &LayerShards<'_, T>,
-    kernel: LocalKernel,
     out_slice: &mut Tensor4<T>,
 ) {
     let p = plan.problem;
@@ -44,7 +42,7 @@ pub(crate) fn forward_tiles<T: Scalar>(
     let in_dist = in_c_dist(plan);
     let ker_dist = ker_c_dist(plan);
     let (sb, sk, sh, sw) = (w.wb / t.tb, w.wk / t.tk, w.wh / t.th, w.ww / t.tw);
-    // One scratch arena for the whole tile loop (fast kernel only).
+    // One scratch arena for the whole tile loop.
     let mut scratch = ConvScratch::<T>::new();
 
     // Linearize the rotating-broadcast schedule so the pipeline can
@@ -116,15 +114,7 @@ pub(crate) fn forward_tiles<T: Scalar>(
 
         let out_local = step.out_rng.relative_to(shards.out_origin);
         rank.time_compute(|| {
-            conv_tile_into_slice(
-                &p,
-                out_slice,
-                out_local,
-                &in_tile,
-                &ker_tile,
-                kernel,
-                &mut scratch,
-            )
+            conv_tile_into_slice(&p, out_slice, out_local, &in_tile, &ker_tile, &mut scratch)
         });
     }
     // Whatever follows the tile loop (the caller's c-reduction) is its
@@ -147,64 +137,30 @@ pub(crate) fn tile_range(plan: &DistPlan, origin: [usize; 4], j: [usize; 4]) -> 
 /// Accumulate one tile directly into the resident `Out` slice
 /// (no separate `Out`-tile buffer — the paper's memory claim).
 ///
-/// The fast path hands the slice to
-/// [`distconv_conv::conv_tile_fast_rows`]: the tile's output rows are
-/// strided windows of the resident shard (`h` contiguous), so the
-/// kernel accumulates in place with no bounce buffer, bitwise-identical
-/// to the reference loop below (DESIGN.md §7).
-#[allow(clippy::too_many_arguments)]
+/// The slice goes to [`distconv_conv::conv_tile_fast_rows`]: the tile's
+/// output rows are strided windows of the resident shard (`h`
+/// contiguous), so the kernel accumulates in place with no bounce
+/// buffer, bitwise-identical to the `conv_tile` oracle (DESIGN.md §7).
 pub(crate) fn conv_tile_into_slice<T: Scalar>(
     p: &distconv_cost::Conv2dProblem,
     out_slice: &mut Tensor4<T>,
     out_local: Range4,
     in_tile: &Tensor4<T>,
     ker_tile: &Tensor4<T>,
-    kernel: LocalKernel,
     scratch: &mut ConvScratch<T>,
 ) {
-    let [tb, tk, tw, th] = out_local.extents();
-    let tc = in_tile.shape().0[1];
-    debug_assert_eq!(tc, ker_tile.shape().0[1]);
-    if kernel == LocalKernel::Fast {
-        let s = out_slice.shape().strides();
-        let base = out_local.lo[0] * s[0]
-            + out_local.lo[1] * s[1]
-            + out_local.lo[2] * s[2]
-            + out_local.lo[3];
-        conv_tile_fast_rows(
-            p,
-            out_slice.as_mut_slice(),
-            base,
-            [s[0], s[1], s[2]],
-            [tb, tk, tw, th],
-            in_tile,
-            ker_tile,
-            scratch,
-        );
-        return;
-    }
-    for b in 0..tb {
-        for k in 0..tk {
-            for w in 0..tw {
-                for h in 0..th {
-                    let idx = [
-                        out_local.lo[0] + b,
-                        out_local.lo[1] + k,
-                        out_local.lo[2] + w,
-                        out_local.lo[3] + h,
-                    ];
-                    let mut acc = out_slice[idx];
-                    for c in 0..tc {
-                        for r in 0..p.nr {
-                            for s in 0..p.ns {
-                                acc += in_tile[[b, c, p.sw * w + r, p.sh * h + s]]
-                                    * ker_tile[[k, c, r, s]];
-                            }
-                        }
-                    }
-                    out_slice[idx] = acc;
-                }
-            }
-        }
-    }
+    debug_assert_eq!(in_tile.shape().0[1], ker_tile.shape().0[1]);
+    let s = out_slice.shape().strides();
+    let base =
+        out_local.lo[0] * s[0] + out_local.lo[1] * s[1] + out_local.lo[2] * s[2] + out_local.lo[3];
+    conv_tile_fast_rows(
+        p,
+        out_slice.as_mut_slice(),
+        base,
+        [s[0], s[1], s[2]],
+        out_local.extents(),
+        in_tile,
+        ker_tile,
+        scratch,
+    );
 }

@@ -18,7 +18,6 @@
 use crate::distribution::{out_range, plan_grid, shard_geometry};
 use crate::fwd::forward_tiles;
 use distconv_cost::DistPlan;
-use distconv_par::LocalKernel;
 use distconv_simnet::{Communicator, Rank, Tag, TrafficClass};
 use distconv_tensor::{Range4, Scalar, Shape4, Tensor4};
 
@@ -89,10 +88,9 @@ pub(crate) fn forward_layer<T: Scalar>(
     rank: &Rank<T>,
     layout: &RankLayout<'_, T>,
     shards: &LayerShards<'_, T>,
-    kernel: LocalKernel,
     out_slice: &mut Tensor4<T>,
 ) {
-    forward_tiles(plan, rank, layout, shards, kernel, out_slice);
+    forward_tiles(plan, rank, layout, shards, out_slice);
     if plan.grid.pc > 1 {
         let w = plan.w;
         let mut buf =

@@ -28,7 +28,6 @@ use crate::layout::{
 use crate::model::eq10_aggregate;
 use distconv_conv::kernels::{conv2d_direct_par, in_shape, ker_shape};
 use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, PlanError, Planner};
-use distconv_par::LocalKernel;
 use distconv_simnet::{Machine, MachineConfig, Rank, RunError, StatsSnapshot};
 use distconv_tensor::{max_rel_err, Range4, Scalar, Tensor4};
 use distconv_trace::{ConformanceReport, ConformanceRow, RunTrace, Tolerance};
@@ -491,9 +490,8 @@ pub fn execute<T: Scalar>(
         .windows(2)
         .map(|w| BoundaryWindows::new(&w[0], &w[1]))
         .collect();
-    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-        network_rank_body::<T>(rank, plan, &windows, seed, kernel)
+        network_rank_body::<T>(rank, plan, &windows, seed)
     })?;
     let outputs: Vec<NetworkOut<T>> = report.results.into_iter().flatten().collect();
     if opts.verify {
@@ -608,7 +606,6 @@ fn network_rank_body<T: Scalar>(
     plan: &NetworkPlan,
     windows: &[BoundaryWindows],
     seed: u64,
-    kernel: LocalKernel,
 ) -> NetOut<T> {
     let mut carried_in: Option<Tensor4<T>> = None; // shard for the next layer
 
@@ -648,7 +645,7 @@ fn network_rank_body<T: Scalar>(
             ker_origin,
             out_origin,
         };
-        forward_layer(lp, rank, &layout, &shards, kernel, &mut out_slice);
+        forward_layer(lp, rank, &layout, &shards, &mut out_slice);
 
         if li + 1 < plan.layers.len() {
             carried_in = Some(redistribute_to_next(

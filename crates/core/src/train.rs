@@ -30,7 +30,6 @@ use crate::layout::{forward_layer, LayerShards, RankLayout};
 use crate::network::{window_max_rel_err, CoreError};
 use distconv_conv::kernels::{grad_ker, out_shape, workload};
 use distconv_cost::DistPlan;
-use distconv_par::LocalKernel;
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
 use distconv_tensor::{conv_input_region, Range4, Scalar, Shape4, Tensor4};
 
@@ -131,10 +130,8 @@ pub fn run_training_step<T: Scalar>(
     cfg: MachineConfig,
 ) -> Result<TrainReport, CoreError> {
     let procs = plan.grid.total();
-    let kernel = LocalKernel::from_env();
-    let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-        train_rank_body::<T>(rank, &plan, seed, kernel)
-    })?;
+    let report =
+        Machine::try_run::<T, _, _>(procs, cfg, |rank| train_rank_body::<T>(rank, &plan, seed))?;
 
     // --- Verification against sequential references. ---
     let p = plan.problem;
@@ -197,12 +194,7 @@ pub struct TrainRankOut<T> {
     pub grad_range: Range4,
 }
 
-fn train_rank_body<T: Scalar>(
-    rank: &Rank<T>,
-    plan: &DistPlan,
-    seed: u64,
-    kernel: LocalKernel,
-) -> TrainRankOut<T> {
+fn train_rank_body<T: Scalar>(rank: &Rank<T>, plan: &DistPlan, seed: u64) -> TrainRankOut<T> {
     let p = plan.problem;
     let (w, t) = (plan.w, plan.t);
     assert_eq!(t.tc, 1, "the distributed schedule requires T_c = 1");
@@ -247,7 +239,7 @@ fn train_rank_body<T: Scalar>(
         ker_origin,
         out_origin,
     };
-    forward_layer(plan, rank, &layout, &shards, kernel, &mut out_slice);
+    forward_layer(plan, rank, &layout, &shards, &mut out_slice);
 
     // ---------------- Backward pass: dKer. ----------------
     // Partial gradient over this rank's (b,w,h) sub-range, full (Wk, Wc).
@@ -429,7 +421,7 @@ mod tests {
             .unwrap();
         let procs = plan.grid.total();
         let report = Machine::run::<f64, _, _>(procs, MachineConfig::default(), |rank| {
-            train_rank_body::<f64>(rank, &plan, 3, LocalKernel::Fast)
+            train_rank_body::<f64>(rank, &plan, 3)
         });
         for out in &report.results {
             // Must match the distribution module's Ker shard for the rank.

@@ -15,9 +15,8 @@
 //! Requires a square grid; block sizes may be uneven (BlockDist).
 
 use crate::common::{shard_a, shard_b, MatmulDims, MmReport};
-use crate::local::local_matmul;
+use crate::local::matmul_blocked_par;
 use crate::summa::verify_blocks;
-use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
@@ -37,7 +36,6 @@ pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     q: usize,
-    kernel: LocalKernel,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), q * q, "grid size mismatch");
     let grid = CartGrid::new(vec![q, q]);
@@ -109,7 +107,7 @@ pub fn cannon_rank_body<T: Scalar + distconv_simnet::Msg>(
         rank.set_step(step as u64);
         let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, std::mem::take(&mut a_block));
         let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, std::mem::take(&mut b_block));
-        rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
+        rank.time_compute(|| matmul_blocked_par(&mut c_block, &a_m, &b_m));
         if let Some((pa, pb)) = pending {
             rank.set_step(step as u64 + 1);
             a_block = pa.wait();
@@ -158,10 +156,8 @@ pub fn cannon_analytic_volume(d: &MatmulDims, q: usize) -> u128 {
 
 /// Drive a Cannon run on `q²` ranks; verify all blocks.
 pub fn run_cannon(d: MatmulDims, q: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
-    let kernel = LocalKernel::from_env();
-    let report = Machine::try_run::<f64, _, _>(q * q, cfg, |rank| {
-        cannon_rank_body::<f64>(rank, &d, q, kernel)
-    })?;
+    let report =
+        Machine::try_run::<f64, _, _>(q * q, cfg, |rank| cannon_rank_body::<f64>(rank, &d, q))?;
     let verified = verify_blocks(&d, q, q, &report.results);
     Ok(MmReport {
         dims: d,

@@ -15,9 +15,8 @@
 //! as `P^{2/3}`, the 3D algorithm's signature (vs `P^{1/2}` for 2D).
 
 use crate::common::{shard_a, shard_b, MatmulDims, MmReport};
-use crate::local::local_matmul;
+use crate::local::matmul_blocked_par;
 use crate::summa::verify_blocks;
-use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
@@ -33,7 +32,6 @@ pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
     rank: &Rank<T>,
     d: &MatmulDims,
     p1: usize,
-    kernel: LocalKernel,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), p1 * p1 * p1, "grid size mismatch");
     let grid = CartGrid::new(vec![p1, p1, p1]);
@@ -79,7 +77,7 @@ pub fn dns3d_rank_body<T: Scalar + distconv_simnet::Msg>(
     let b_m = Matrix::from_vec(kl_hi - kl_lo, nj_hi - nj_lo, b_buf);
     let mut c_part = Matrix::<T>::zeros(mi_hi - mi_lo, nj_hi - nj_lo);
     let _lc = rank.mem().lease_or_panic(c_part.len() as u64);
-    rank.time_compute(|| local_matmul(kernel, &mut c_part, &a_m, &b_m));
+    rank.time_compute(|| matmul_blocked_par(&mut c_part, &a_m, &b_m));
 
     // Reduce partials over l to the l = 0 face. The broadcast phase is
     // stamped step 0 (the default); the reduction is its own step.
@@ -100,9 +98,8 @@ pub fn dns3d_analytic_volume(d: &MatmulDims, p1: usize) -> u128 {
 
 /// Drive a 3D run on `p₁³` ranks; verify the `l = 0` face blocks.
 pub fn run_dns3d(d: MatmulDims, p1: usize, cfg: MachineConfig) -> Result<MmReport, RunError> {
-    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(p1 * p1 * p1, cfg, |rank| {
-        dns3d_rank_body::<f64>(rank, &d, p1, kernel)
+        dns3d_rank_body::<f64>(rank, &d, p1)
     })?;
     // Collect the l = 0 face in (i, j) row-major order for verification.
     let grid = CartGrid::new(vec![p1, p1, p1]);

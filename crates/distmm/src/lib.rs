@@ -29,10 +29,9 @@
 //! multiply-phase traffic; the CNN side's `cost_I` is charged
 //! separately, as the paper does).
 //!
-//! Each `run_x` driver resolves the local kernel from the environment
-//! once, on the calling thread, and passes it to every rank body; rank
-//! failures (injected crashes, deadlocks, OOM) come back as a
-//! `RunError`.
+//! Every rank body computes its block products with
+//! [`matmul_blocked_par`]; rank failures (injected crashes, deadlocks,
+//! OOM) come back from each `run_x` driver as a `RunError`.
 
 #![warn(missing_docs)]
 
@@ -46,6 +45,6 @@ pub mod summa;
 pub use cannon::{cannon_rank_body, run_cannon};
 pub use common::{MatmulDims, MmReport};
 pub use dns3d::{dns3d_rank_body, run_dns3d};
-pub use local::{local_matmul, matmul_blocked, matmul_blocked_par, matmul_blocked_ref};
+pub use local::{matmul_blocked, matmul_blocked_par, matmul_blocked_ref};
 pub use s25d::{run_25d, s25d_rank_body};
 pub use summa::{run_summa, summa_rank_body};

@@ -1,7 +1,7 @@
 //! Local (single-node) matmul kernels: the packed register-blocked
-//! kernel, its thread-parallel version, and the [`LocalKernel`]
-//! dispatch used by every distributed algorithm for its per-rank block
-//! products.
+//! kernel, its thread-parallel version (the per-rank block product of
+//! every distributed algorithm), and the blocked reference loop the
+//! tests check them against.
 //!
 //! The fast path packs `A` into a transposed `[k][m]` panel
 //! ([`pack_transposed`]) so the shared micro-kernel
@@ -16,7 +16,7 @@
 //! (reference blocked, packed serial, packed parallel) are **bitwise
 //! identical** — to each other and across thread counts.
 
-use distconv_par::{pool, LocalKernel};
+use distconv_par::pool;
 use distconv_tensor::gemm::{gemm_acc_rows, mr_block, pack_transposed};
 use distconv_tensor::{Matrix, Scalar};
 
@@ -39,7 +39,7 @@ const PAR_CUTOFF_FLOPS: usize = 64 * 64 * 64;
 const PAR_ROW_BLOCK: usize = 32;
 
 /// `C += A · B` with the paper-literal blocked ikj loop — the reference
-/// local kernel ([`LocalKernel::Reference`]).
+/// the packed kernels are tested against.
 pub fn matmul_blocked_ref<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
     let (m, k, n) = check_dims(c, a, b);
     for i0 in (0..m).step_by(BLK) {
@@ -69,7 +69,9 @@ pub fn matmul_blocked<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>
 }
 
 /// `C += A · B`, row blocks of `C` parallelized over the worker pool,
-/// falling back to the serial packed kernel for small products.
+/// falling back to the serial packed kernel for small products. The
+/// distributed algorithms (Cannon / SUMMA / 2.5D / 3D) call this per
+/// rank for their block products.
 /// Deterministic and bitwise identical across thread counts: each
 /// output row is accumulated by exactly one task in ascending-`l`
 /// order regardless of how rows are grouped into tasks.
@@ -91,20 +93,6 @@ pub fn matmul_blocked_par<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matri
         let rows = chunk.len() / n;
         packed_rows(chunk, i_lo, rows, m, k, n, at, b_slice, boff);
     });
-}
-
-/// [`LocalKernel`]-dispatched block product: the entry point the
-/// distributed algorithms (Cannon / SUMMA / 2.5D / 3D) call per rank.
-pub fn local_matmul<T: Scalar>(
-    kernel: LocalKernel,
-    c: &mut Matrix<T>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) {
-    match kernel {
-        LocalKernel::Reference => matmul_blocked_ref(c, a, b),
-        LocalKernel::Fast => matmul_blocked_par(c, a, b),
-    }
 }
 
 /// Packed-kernel core over `C` rows `i_lo .. i_lo + rows`, writing into
@@ -232,16 +220,6 @@ mod tests {
             let mut c = Matrix::zeros(m, n);
             matmul_blocked_par(&mut c, &a, &b);
             assert_eq!(c.as_slice(), c_ref.as_slice(), "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn local_matmul_dispatch_agrees() {
-        let (a, b, c_ref) = reference(33, 40, 29);
-        for kernel in [LocalKernel::Reference, LocalKernel::Fast] {
-            let mut c = Matrix::zeros(33, 29);
-            local_matmul(kernel, &mut c, &a, &b);
-            assert_eq!(c.as_slice(), c_ref.as_slice(), "{kernel:?}");
         }
     }
 

@@ -28,9 +28,8 @@
 //! to exact 2D SUMMA; `c = p₁` reaches the 3D regime.
 
 use crate::common::{shard_a, shard_b, MatmulDims, MmReport};
-use crate::local::local_matmul;
+use crate::local::matmul_blocked_par;
 use crate::summa::verify_blocks;
-use distconv_par::LocalKernel;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::shape::BlockDist;
 use distconv_tensor::{Matrix, Scalar};
@@ -65,7 +64,6 @@ pub fn s25d_rank_body<T: Scalar + distconv_simnet::Msg>(
     d: &MatmulDims,
     p1: usize,
     c: usize,
-    kernel: LocalKernel,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), c * p1 * p1, "grid size mismatch");
     let grid = CartGrid::new(vec![c, p1, p1]);
@@ -194,7 +192,7 @@ pub fn s25d_rank_body<T: Scalar + distconv_simnet::Msg>(
         let b_panel = pb.wait();
         let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
         let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
-        rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
+        rank.time_compute(|| matmul_blocked_par(&mut c_block, &a_m, &b_m));
     }
 
     // --- Step 3: reduce partial C along l to layer 0. ---
@@ -227,9 +225,8 @@ pub fn run_25d(
     c: usize,
     cfg: MachineConfig,
 ) -> Result<MmReport, RunError> {
-    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(c * p1 * p1, cfg, |rank| {
-        s25d_rank_body::<f64>(rank, &d, p1, c, kernel)
+        s25d_rank_body::<f64>(rank, &d, p1, c)
     })?;
     let grid = CartGrid::new(vec![c, p1, p1]);
     let mut face = Vec::with_capacity(p1 * p1);

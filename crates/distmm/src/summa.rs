@@ -13,8 +13,7 @@
 //! counters, validating both the algorithm and the simulator.
 
 use crate::common::{full_a, full_b, shard_a, shard_b, MatmulDims, MmReport};
-use crate::local::local_matmul;
-use distconv_par::LocalKernel;
+use crate::local::matmul_blocked_par;
 use distconv_simnet::{CartGrid, Machine, MachineConfig, Rank, RunError};
 use distconv_tensor::matrix::matmul_acc;
 use distconv_tensor::shape::BlockDist;
@@ -47,7 +46,6 @@ pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
     d: &MatmulDims,
     pr: usize,
     pc: usize,
-    kernel: LocalKernel,
 ) -> Matrix<T> {
     assert_eq!(rank.size(), pr * pc, "grid size mismatch");
     let grid = CartGrid::new(vec![pr, pc]);
@@ -122,7 +120,7 @@ pub fn summa_rank_body<T: Scalar + distconv_simnet::Msg>(
         let b_panel = pb.wait();
         let a_m = Matrix::from_vec(mi_hi - mi_lo, kk, a_panel);
         let b_m = Matrix::from_vec(kk, nj_hi - nj_lo, b_panel);
-        rank.time_compute(|| local_matmul(kernel, &mut c_block, &a_m, &b_m));
+        rank.time_compute(|| matmul_blocked_par(&mut c_block, &a_m, &b_m));
     }
     c_block
 }
@@ -141,9 +139,8 @@ pub fn run_summa(
     pc: usize,
     cfg: MachineConfig,
 ) -> Result<MmReport, RunError> {
-    let kernel = LocalKernel::from_env();
     let report = Machine::try_run::<f64, _, _>(pr * pc, cfg, |rank| {
-        summa_rank_body::<f64>(rank, &d, pr, pc, kernel)
+        summa_rank_body::<f64>(rank, &d, pr, pc)
     })?;
     let verified = verify_blocks(&d, pr, pc, &report.results);
     Ok(MmReport {
@@ -280,13 +277,12 @@ mod tests {
     #[test]
     fn overlapped_pipeline_records_timing_breakdown() {
         use distconv_simnet::Machine;
-        let kernel = LocalKernel::from_env();
         // The point of the pipeline: the report's timing breakdown has
         // both a comm-wait and a compute component (host wall time, not
         // part of the deterministic counters).
         let d = MatmulDims::new(48, 48, 48);
         let report = Machine::run::<f64, _, _>(4, MachineConfig::default(), move |rank| {
-            summa_rank_body(rank, &d, 2, 2, kernel)
+            summa_rank_body(rank, &d, 2, 2)
         });
         let t = report.timing;
         assert!(t.compute_ns > 0, "compute time should be recorded");

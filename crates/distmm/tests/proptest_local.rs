@@ -4,9 +4,8 @@
 //! validated against the `matmul_acc` ground truth. Replay a failing
 //! case with `DISTCONV_PROPTEST_SEED=<seed from the failure report>`.
 
-use distconv_distmm::{local_matmul, matmul_blocked, matmul_blocked_par, matmul_blocked_ref};
+use distconv_distmm::{matmul_blocked, matmul_blocked_par, matmul_blocked_ref};
 use distconv_par::proptest_mini::{check, Config, Gen};
-use distconv_par::LocalKernel;
 use distconv_tensor::matrix::matmul_acc;
 use distconv_tensor::Matrix;
 
@@ -65,10 +64,5 @@ fn all_kernels_agree_bitwise() {
         let mut c_par = Matrix::zeros(m, n);
         matmul_blocked_par(&mut c_par, &a, &b);
         assert_eq!(c_par.as_slice(), c_ref.as_slice(), "par {m}x{k}x{n}");
-        for kernel in [LocalKernel::Reference, LocalKernel::Fast] {
-            let mut c = Matrix::zeros(m, n);
-            local_matmul(kernel, &mut c, &a, &b);
-            assert_eq!(c.as_slice(), c_ref.as_slice(), "{kernel:?} {m}x{k}x{n}");
-        }
     });
 }

@@ -13,12 +13,11 @@
 //! * [`proptest_mini`] — a seeded property-testing harness with
 //!   failure-seed replay via `DISTCONV_PROPTEST_SEED`, replacing
 //!   `proptest` for the four property suites.
-//! * [`kernel`] — the [`kernel::LocalKernel`] runtime policy selecting
-//!   between the paper-literal reference compute kernels and the packed
-//!   GEMM fast path (`DISTCONV_LOCAL_KERNEL` to override).
-//! * [`comm`] — [`comm::CommMode`], the name of the one (overlapped,
-//!   double-buffered) communication schedule, for run provenance;
-//!   `DISTCONV_COMM` accepts only that schedule.
+//! * [`provenance`] — [`CommMode`] and [`LocalKernel`], the names of
+//!   the one (overlapped, double-buffered) communication schedule and
+//!   the one (packed GEMM) local kernel every executor runs, for run
+//!   provenance; `DISTCONV_COMM` and `DISTCONV_LOCAL_KERNEL` accept
+//!   only those.
 //! * [`budget`] — the shared thread-budget arbiter: while a simulated
 //!   machine's `P` rank threads run, each rank's pool gets
 //!   `max(1, cores/P)` workers instead of all cores.
@@ -30,14 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod comm;
-pub mod kernel;
 pub mod pool;
 pub mod proptest_mini;
+pub mod provenance;
 pub mod rng;
 
-pub use comm::CommMode;
-pub use kernel::LocalKernel;
 pub use pool::{budgeted_threads, num_threads, par_chunks_mut, par_iter_indexed, Pool};
 pub use proptest_mini::{check, Config, Gen};
+pub use provenance::{CommMode, LocalKernel};
 pub use rng::SplitMix64;

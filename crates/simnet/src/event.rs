@@ -100,34 +100,6 @@ impl Backend {
     }
 }
 
-/// How compute sections ([`crate::Rank::time_compute`]) charge the
-/// virtual clock. Independent of the backend choice: the default keeps
-/// compute free on the clock (communication-only makespans, exactly the
-/// paper's cost model and bitwise identical across backends); the other
-/// variants let benches model compute/communication ratios.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum ComputeModel {
-    /// Compute costs nothing in virtual time (the default). Makespans
-    /// are pure α–β communication time — deterministic and
-    /// backend-independent.
-    #[default]
-    Off,
-    /// Charge the *measured* wall time of each compute section, scaled:
-    /// `virtual seconds = wall seconds × scale`. Host-dependent, so
-    /// makespans stop being deterministic — a benching knob, never for
-    /// goldens.
-    Measured {
-        /// Wall-to-virtual scale factor (1.0 = real time).
-        scale: f64,
-    },
-    /// Charge a fixed number of virtual seconds per compute section —
-    /// deterministic sampled compute for what-if studies.
-    Fixed {
-        /// Virtual seconds per `time_compute` call.
-        seconds: f64,
-    },
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Status {
     /// Runnable, waiting in the ready heap for the floor.
@@ -371,11 +343,6 @@ mod tests {
         assert_eq!(Backend::parse("event"), Ok(Backend::Event));
         assert!(Backend::parse("fiber").is_err());
         assert_eq!(Backend::default(), Backend::Thread);
-    }
-
-    #[test]
-    fn compute_model_default_is_off() {
-        assert_eq!(ComputeModel::default(), ComputeModel::Off);
     }
 
     #[test]

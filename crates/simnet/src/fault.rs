@@ -205,9 +205,9 @@ impl FaultPlan {
         }
     }
 
-    /// Validate every field; the checked `try_with_*` builders call this
-    /// incrementally, [`crate::Machine`] calls it once per run so a plan
-    /// assembled by hand cannot slip NaNs past the builders.
+    /// Validate every field. The `with_*` builders only set fields;
+    /// [`crate::Machine`] calls this once per run, before spawning any
+    /// rank, so no invalid plan reaches the transport.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         check_prob("drop_prob", self.drop_prob)?;
         check_prob("dup_prob", self.dup_prob)?;
@@ -226,72 +226,29 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Set the drop probability, rejecting values outside `[0, 1]`.
-    pub fn try_with_drops(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("drop_prob", p)?;
+    /// Set the drop probability.
+    pub fn with_drops(mut self, p: f64) -> Self {
         self.drop_prob = p;
-        Ok(self)
+        self
     }
 
-    /// Set the duplicate probability, rejecting values outside `[0, 1]`.
-    pub fn try_with_dups(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("dup_prob", p)?;
+    /// Set the duplicate probability.
+    pub fn with_dups(mut self, p: f64) -> Self {
         self.dup_prob = p;
-        Ok(self)
+        self
     }
 
-    /// Set the delay probability and skew, rejecting probabilities
-    /// outside `[0, 1]` and non-finite or negative skews.
-    pub fn try_with_delays(mut self, p: f64, skew: f64) -> Result<Self, FaultPlanError> {
-        check_prob("delay_prob", p)?;
-        if !skew.is_finite() || skew < 0.0 {
-            return Err(FaultPlanError::InvalidDelaySkew { value: skew });
-        }
+    /// Set the delay probability and skew.
+    pub fn with_delays(mut self, p: f64, skew: f64) -> Self {
         self.delay_prob = p;
         self.delay_skew = skew;
-        Ok(self)
+        self
     }
 
-    /// Set the reorder probability, rejecting values outside `[0, 1]`.
-    pub fn try_with_reorders(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("reorder_prob", p)?;
+    /// Set the reorder probability.
+    pub fn with_reorders(mut self, p: f64) -> Self {
         self.reorder_prob = p;
-        Ok(self)
-    }
-
-    /// Slow `rank` by `factor`, rejecting non-finite or non-positive
-    /// factors.
-    pub fn try_with_straggler(mut self, rank: usize, factor: f64) -> Result<Self, FaultPlanError> {
-        if !factor.is_finite() || factor <= 0.0 {
-            return Err(FaultPlanError::InvalidStragglerFactor { value: factor });
-        }
-        self.straggler = Some(Straggler { rank, factor });
-        Ok(self)
-    }
-
-    /// Set the drop probability (panics on invalid values — use
-    /// [`FaultPlan::try_with_drops`] to handle them).
-    pub fn with_drops(self, p: f64) -> Self {
-        self.try_with_drops(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Set the duplicate probability (panicking variant of
-    /// [`FaultPlan::try_with_dups`]).
-    pub fn with_dups(self, p: f64) -> Self {
-        self.try_with_dups(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Set the delay probability and skew (panicking variant of
-    /// [`FaultPlan::try_with_delays`]).
-    pub fn with_delays(self, p: f64, skew: f64) -> Self {
-        self.try_with_delays(p, skew)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Set the reorder probability (panicking variant of
-    /// [`FaultPlan::try_with_reorders`]).
-    pub fn with_reorders(self, p: f64) -> Self {
-        self.try_with_reorders(p).unwrap_or_else(|e| panic!("{e}"))
+        self
     }
 
     /// Crash `rank` at its `at_send`-th send (a *transient* crash: a
@@ -319,11 +276,10 @@ impl FaultPlan {
         self
     }
 
-    /// Slow `rank` by `factor` (panicking variant of
-    /// [`FaultPlan::try_with_straggler`]).
-    pub fn with_straggler(self, rank: usize, factor: f64) -> Self {
-        self.try_with_straggler(rank, factor)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Slow `rank` by `factor`.
+    pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
+        self.straggler = Some(Straggler { rank, factor });
+        self
     }
 
     /// True when the plan injects nothing and requests no reliable
@@ -508,56 +464,57 @@ mod tests {
 
     #[test]
     fn builders_reject_invalid_fields() {
+        // The builders set fields as given; validate() is the one check.
         let base = FaultPlan::reliable(1);
         assert_eq!(
-            base.try_with_drops(1.5),
+            base.with_drops(1.5).validate(),
             Err(FaultPlanError::InvalidProbability {
                 field: "drop_prob",
                 value: 1.5
             })
         );
         assert!(matches!(
-            base.try_with_dups(-0.1),
+            base.with_dups(-0.1).validate(),
             Err(FaultPlanError::InvalidProbability {
                 field: "dup_prob",
                 ..
             })
         ));
         assert!(matches!(
-            base.try_with_delays(f64::NAN, 1.0),
+            base.with_delays(f64::NAN, 1.0).validate(),
             Err(FaultPlanError::InvalidProbability {
                 field: "delay_prob",
                 ..
             })
         ));
         assert!(matches!(
-            base.try_with_delays(0.1, f64::NAN),
+            base.with_delays(0.1, f64::NAN).validate(),
             Err(FaultPlanError::InvalidDelaySkew { .. })
         ));
         assert!(matches!(
-            base.try_with_delays(0.1, -1.0),
+            base.with_delays(0.1, -1.0).validate(),
             Err(FaultPlanError::InvalidDelaySkew { .. })
         ));
         assert!(matches!(
-            base.try_with_reorders(2.0),
+            base.with_reorders(2.0).validate(),
             Err(FaultPlanError::InvalidProbability {
                 field: "reorder_prob",
                 ..
             })
         ));
         assert!(matches!(
-            base.try_with_straggler(0, -3.0),
+            base.with_straggler(0, -3.0).validate(),
             Err(FaultPlanError::InvalidStragglerFactor { .. })
         ));
         assert!(matches!(
-            base.try_with_straggler(0, f64::INFINITY),
+            base.with_straggler(0, f64::INFINITY).validate(),
             Err(FaultPlanError::InvalidStragglerFactor { .. })
         ));
         // Boundary values are valid probabilities.
-        assert!(base.try_with_drops(0.0).is_ok());
-        assert!(base.try_with_drops(1.0).is_ok());
+        assert!(base.with_drops(0.0).validate().is_ok());
+        assert!(base.with_drops(1.0).validate().is_ok());
         // The error message names the field and value.
-        let msg = base.try_with_drops(1.5).unwrap_err().to_string();
+        let msg = base.with_drops(1.5).validate().unwrap_err().to_string();
         assert!(msg.contains("drop_prob") && msg.contains("1.5"), "{msg}");
     }
 
@@ -579,11 +536,5 @@ mod tests {
             p.validate(),
             Err(FaultPlanError::InvalidStragglerFactor { .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "drop_prob")]
-    fn panicking_builder_names_the_field() {
-        let _ = FaultPlan::reliable(1).with_drops(7.0);
     }
 }

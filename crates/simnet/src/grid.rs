@@ -9,7 +9,7 @@
 //! member list with a [`crate::Communicator`] gives the MPI
 //! `Cart_sub` equivalent.
 
-use crate::comm::{CommError, Communicator};
+use crate::comm::Communicator;
 use crate::rank::{Msg, Rank};
 
 /// A row-major multi-dimensional grid over member indices
@@ -124,8 +124,8 @@ impl CartGrid {
     /// position along `vary`. `members_base` maps grid index → world
     /// rank (usually the identity slice `&world_members`).
     ///
-    /// Panics on a bad member mapping; [`CartGrid::try_sub_comm`] is the
-    /// non-panicking form for planner-generated grids.
+    /// Panics on a bad member mapping (duplicates, nonexistent ranks, a
+    /// fiber that excludes the caller).
     pub fn sub_comm<'a, T: Msg>(
         &self,
         rank: &'a Rank<T>,
@@ -133,25 +133,11 @@ impl CartGrid {
         members_base: &[usize],
         vary: &[usize],
     ) -> Communicator<'a, T> {
-        self.try_sub_comm(rank, my_grid_index, members_base, vary)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking fiber sub-communicator construction: a malformed
-    /// grid-index → world-rank mapping (duplicates, nonexistent ranks,
-    /// a fiber that excludes the caller) is reported as a [`CommError`].
-    pub fn try_sub_comm<'a, T: Msg>(
-        &self,
-        rank: &'a Rank<T>,
-        my_grid_index: usize,
-        members_base: &[usize],
-        vary: &[usize],
-    ) -> Result<Communicator<'a, T>, CommError> {
         let coords = self.coords_of(my_grid_index);
         let fiber = self.fiber(&coords, vary);
         let world: Vec<usize> = fiber.iter().map(|&g| members_base[g]).collect();
         let ctx = self.fiber_ctx(&coords, vary);
-        Communicator::try_new(rank, world, ctx)
+        Communicator::new(rank, world, ctx)
     }
 }
 

@@ -64,7 +64,7 @@ pub mod rank;
 pub mod stats;
 
 pub use comm::{BcastAlgo, CommError, Communicator, PendingBcast, PendingRecv};
-pub use event::{Backend, ComputeModel};
+pub use event::Backend;
 pub use fault::{CrashAt, FaultPlan, FaultPlanError, Straggler, CRASH_MARKER, MAX_SEND_ATTEMPTS};
 pub use grid::CartGrid;
 pub use machine::{FailureKind, Machine, MachineConfig, RankFailure, RunError, RunReport};

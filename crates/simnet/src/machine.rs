@@ -13,7 +13,7 @@
 //! collectives.
 
 use crate::channel::unbounded;
-use crate::event::{Backend, ComputeModel, EventScheduler};
+use crate::event::{Backend, EventScheduler};
 use crate::fault::{FaultPlan, CRASH_MARKER};
 use crate::memory::MemoryTracker;
 use crate::rank::{Msg, Packet, Rank, RankId};
@@ -40,9 +40,6 @@ pub struct MachineConfig {
     /// Execution backend (default: thread-per-rank, overridable via
     /// `DISTCONV_BACKEND`; see [`crate::event`]).
     pub backend: Backend,
-    /// Virtual-clock charge for compute sections (default: off — the
-    /// clock is pure α–β communication time).
-    pub compute: ComputeModel,
 }
 
 impl Default for MachineConfig {
@@ -54,7 +51,6 @@ impl Default for MachineConfig {
             faults: FaultPlan::default(),
             trace: TraceConfig::default(),
             backend: Backend::from_env(),
-            compute: ComputeModel::default(),
         }
     }
 }
@@ -782,29 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_compute_model_charges_the_virtual_clock() {
-        use crate::event::ComputeModel;
-        let cfg = MachineConfig {
-            compute: ComputeModel::Fixed { seconds: 0.5 },
-            ..MachineConfig::default()
-        };
-        let r = Machine::run::<f32, _, _>(2, cfg, |rank| {
-            if rank.id() == 0 {
-                rank.time_compute(|| ());
-                rank.send(1, 1, &[1.0]);
-            } else {
-                let _ = rank.recv(0, 1);
-            }
-        });
-        let expect = 0.5 + cfg.cost.alpha + cfg.cost.beta;
-        assert!(
-            (r.makespan - expect).abs() < 1e-12,
-            "{} vs {expect}",
-            r.makespan
-        );
-    }
-
-    #[test]
     fn trace_records_sends_recvs_and_compute() {
         use distconv_trace::SpanKind;
         let r = Machine::run::<f32, _, _>(2, MachineConfig::default(), |rank| {
@@ -904,10 +877,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid FaultPlan")]
     fn malformed_fault_plan_fails_before_spawning() {
-        let mut faults = FaultPlan::reliable(1);
-        faults.drop_prob = f64::NAN; // bypasses the checked builders
         let cfg = MachineConfig {
-            faults,
+            faults: FaultPlan::reliable(1).with_drops(f64::NAN),
             ..MachineConfig::default()
         };
         let _ = Machine::run::<f32, _, _>(2, cfg, |_| ());

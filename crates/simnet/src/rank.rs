@@ -40,7 +40,7 @@
 //! pre-fault code path.
 
 use crate::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use crate::event::{ComputeModel, EventScheduler};
+use crate::event::EventScheduler;
 use crate::fault::{FaultPlan, CRASH_MARKER, MAX_SEND_ATTEMPTS};
 use crate::machine::MachineConfig;
 use crate::memory::MemoryTracker;
@@ -149,8 +149,6 @@ pub struct Rank<T: Msg> {
     /// Cooperative scheduler of the discrete-event backend (`None` on
     /// the thread backend — blocking receives use the OS instead).
     sched: Option<Arc<EventScheduler>>,
-    /// Virtual-clock charge for compute sections (default: free).
-    compute: ComputeModel,
     /// Current schedule step, stamped onto every recorded span.
     /// Executors advance it via [`Rank::set_step`].
     step: Cell<u64>,
@@ -192,7 +190,6 @@ impl<T: Msg> Rank<T> {
             clock: Cell::new(0.0),
             tracer,
             sched,
-            compute: cfg.compute,
             step: Cell::new(0),
             traffic_class: Cell::new(TrafficClass::Algorithmic),
         }
@@ -346,16 +343,6 @@ impl<T: Msg> Rank<T> {
         let dur_ns = t0.elapsed().as_nanos() as u64;
         self.stats.record_compute_ns(dur_ns);
         self.trace_span(SpanKind::Compute, None, 0, 0, start_ns, dur_ns);
-        // Under a non-default ComputeModel the section also charges the
-        // virtual clock (straggler-scaled, like every other charge).
-        let virt = match self.compute {
-            ComputeModel::Off => 0.0,
-            ComputeModel::Measured { scale } => dur_ns as f64 * 1e-9 * scale,
-            ComputeModel::Fixed { seconds } => seconds,
-        };
-        if virt > 0.0 {
-            self.clock.set(self.clock.get() + self.straggle * virt);
-        }
         out
     }
 

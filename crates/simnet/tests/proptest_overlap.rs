@@ -15,7 +15,6 @@ use distconv_distmm::{
     cannon_rank_body, dns3d_rank_body, s25d_rank_body, summa_rank_body, MatmulDims,
 };
 use distconv_par::proptest_mini::{check, Config, Gen};
-use distconv_par::LocalKernel;
 use distconv_simnet::{FaultPlan, Machine, MachineConfig, Rank, StatsSnapshot};
 use distconv_tensor::Matrix;
 
@@ -61,15 +60,14 @@ fn assert_same_counters(faulty: &StatsSnapshot, clean: &StatsSnapshot, plan: &Fa
 /// bitwise identical and the algorithmic counters exactly equal.
 fn assert_fault_transparent<F>(p: usize, plan: FaultPlan, body: F)
 where
-    F: Fn(&Rank<f64>, LocalKernel) -> Matrix<f64> + Send + Sync + Copy,
+    F: Fn(&Rank<f64>) -> Matrix<f64> + Send + Sync + Copy,
 {
-    let kernel = LocalKernel::from_env();
     let run = |faults: FaultPlan| {
         let cfg = MachineConfig {
             faults,
             ..MachineConfig::default()
         };
-        Machine::run::<f64, _, _>(p, cfg, move |rank| body(rank, kernel))
+        Machine::run::<f64, _, _>(p, cfg, body)
     };
     let faulty = run(plan);
     let clean = run(FaultPlan::default());
@@ -115,9 +113,7 @@ fn cannon_pipeline_fault_transparent() {
             let q = g.usize_in(1, 3);
             let d = MatmulDims::new(g.usize_in(1, 16), g.usize_in(1, 16), g.usize_in(1, 16));
             let plan = gen_plan(g);
-            assert_fault_transparent(q * q, plan, move |rank, kernel| {
-                cannon_rank_body(rank, &d, q, kernel)
-            });
+            assert_fault_transparent(q * q, plan, move |rank| cannon_rank_body(rank, &d, q));
         },
     );
 }
@@ -132,9 +128,7 @@ fn summa_pipeline_fault_transparent() {
             let pc = g.usize_in(1, 3);
             let d = MatmulDims::new(g.usize_in(1, 16), g.usize_in(1, 16), g.usize_in(1, 16));
             let plan = gen_plan(g);
-            assert_fault_transparent(pr * pc, plan, move |rank, kernel| {
-                summa_rank_body(rank, &d, pr, pc, kernel)
-            });
+            assert_fault_transparent(pr * pc, plan, move |rank| summa_rank_body(rank, &d, pr, pc));
         },
     );
 }
@@ -149,8 +143,8 @@ fn s25d_pipeline_fault_transparent() {
             let c = g.usize_in(1, 3);
             let d = MatmulDims::new(g.usize_in(1, 12), g.usize_in(2, 12), g.usize_in(1, 12));
             let plan = gen_plan(g);
-            assert_fault_transparent(c * p1 * p1, plan, move |rank, kernel| {
-                s25d_rank_body(rank, &d, p1, c, kernel)
+            assert_fault_transparent(c * p1 * p1, plan, move |rank| {
+                s25d_rank_body(rank, &d, p1, c)
             });
         },
     );
@@ -165,8 +159,8 @@ fn dns3d_pipeline_fault_transparent() {
             let p1 = g.usize_in(1, 2);
             let d = MatmulDims::new(g.usize_in(1, 12), g.usize_in(1, 12), g.usize_in(1, 12));
             let plan = gen_plan(g);
-            assert_fault_transparent(p1 * p1 * p1, plan, move |rank, kernel| {
-                dns3d_rank_body(rank, &d, p1, kernel)
+            assert_fault_transparent(p1 * p1 * p1, plan, move |rank| {
+                dns3d_rank_body(rank, &d, p1)
             });
         },
     );

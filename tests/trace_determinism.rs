@@ -10,7 +10,6 @@
 use distconv_core::{execute, RunOptions};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
 use distconv_distmm::{summa_rank_body, MatmulDims};
-use distconv_par::LocalKernel;
 use distconv_simnet::{Machine, MachineConfig};
 use distconv_trace::RunTrace;
 
@@ -39,9 +38,8 @@ fn conv_trace() -> RunTrace {
 
 fn summa_trace() -> RunTrace {
     let d = MatmulDims::new(30, 20, 25);
-    let kernel = LocalKernel::from_env();
     Machine::try_run::<f64, _, _>(6, MachineConfig::default(), move |rank| {
-        summa_rank_body(rank, &d, 2, 3, kernel)
+        summa_rank_body(rank, &d, 2, 3)
     })
     .unwrap()
     .trace
