@@ -150,31 +150,41 @@ fn json_path_from(args: &[String], default_file: &str) -> Option<PathBuf> {
 
 /// Where a bench ran, in the format of perfbench's provenance line: a
 /// one-line JSON object with the host name, the core count, the active
-/// micro-kernel ISA path and the commit of the checkout (read from
-/// `.git` at the workspace root; `unknown` outside a git checkout).
+/// micro-kernel ISA path and the commit of the checkout: `<sha>`,
+/// `<sha>-dirty` on a tree with uncommitted changes, or `unknown`.
 pub fn provenance() -> String {
-    let read = |p: &str| std::fs::read_to_string(format!("{WORKSPACE_ROOT}/{p}")).ok();
-    let commit = read(".git/HEAD")
-        .and_then(|head| match head.trim().strip_prefix("ref: ") {
-            None => Some(head.trim().to_string()),
-            Some(r) => read(&format!(".git/{r}"))
-                .map(|h| h.trim().to_string())
-                .or_else(|| {
-                    read(".git/packed-refs")?
-                        .lines()
-                        .find(|l| l.ends_with(r))
-                        .and_then(|l| l.split_whitespace().next().map(str::to_string))
-                }),
-        })
-        .unwrap_or_else(|| "unknown".into());
     let host = std::fs::read_to_string("/proc/sys/kernel/hostname").unwrap_or_default();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     JsonObject::new()
         .field_str("host", host.trim())
         .field_usize("nproc", nproc)
         .field_str("simd", distconv_tensor::simd::active().name())
-        .field_str("commit", &commit)
+        .field_str("commit", &commit_of(Path::new(WORKSPACE_ROOT)))
         .finish()
+}
+
+/// The commit checked out at `dir`, as `git` names it: `<sha>` on a
+/// clean tree, `<sha>-dirty` when `git diff --quiet HEAD` reports
+/// changes (a BENCH file regenerated inside a change measured that
+/// change, not its parent), `unknown` when git cannot tell.
+fn commit_of(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]).filter(|o| o.status.success()) else {
+        return "unknown".into();
+    };
+    let sha = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    match git(&["diff", "--quiet", "HEAD"]).and_then(|o| o.status.code()) {
+        Some(0) => sha,
+        Some(1) => format!("{sha}-dirty"),
+        _ => "unknown".into(),
+    }
 }
 
 /// Serialize a bench run to the `BENCH_*.json` trajectory schema:
@@ -454,6 +464,33 @@ mod tests {
         assert_eq!(recs[0].get("label").unwrap().as_str(), Some("l"));
         let gf = recs[0].get("gflops").unwrap().as_f64().unwrap();
         assert!((gf - (1e6 / 1.5e-3 / 1e9)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn commit_is_marked_dirty_and_unknown_outside_git() {
+        let dir = std::env::temp_dir().join(format!("wallbench-commit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(commit_of(&dir), "unknown");
+        let git = |args: &[&str]| {
+            let ok = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=t", "-c", "user.email=t@t"])
+                .args(args)
+                .output()
+                .is_ok_and(|o| o.status.success());
+            assert!(ok, "git {args:?}");
+        };
+        std::fs::write(dir.join("f"), "1").unwrap();
+        git(&["init", "-q"]);
+        git(&["add", "f"]);
+        git(&["commit", "-q", "-m", "c"]);
+        let clean = commit_of(&dir);
+        assert_eq!(clean.len(), 40, "{clean}");
+        assert!(clean.bytes().all(|b| b.is_ascii_hexdigit()), "{clean}");
+        std::fs::write(dir.join("f"), "2").unwrap();
+        assert_eq!(commit_of(&dir), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -77,51 +77,6 @@ pub enum BcastAlgo {
     Ring,
 }
 
-/// Error constructing a [`Communicator`]: the member list is unusable.
-/// Planner-generated lists surface these as errors instead of aborts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommError {
-    /// The constructing rank does not appear in the member list.
-    NotAMember {
-        /// The constructing rank.
-        rank: RankId,
-        /// The offending member list.
-        members: Vec<RankId>,
-    },
-    /// A rank appears more than once in the member list.
-    DuplicateMember {
-        /// The offending member list.
-        members: Vec<RankId>,
-    },
-    /// A member id does not exist on this machine.
-    UnknownRank {
-        /// The out-of-range member id.
-        member: RankId,
-        /// Machine size.
-        size: usize,
-    },
-}
-
-impl std::fmt::Display for CommError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommError::NotAMember { rank, members } => write!(
-                f,
-                "rank {rank} constructing a communicator it is not a member of: {members:?}"
-            ),
-            CommError::DuplicateMember { members } => {
-                write!(f, "duplicate members in communicator: {members:?}")
-            }
-            CommError::UnknownRank { member, size } => write!(
-                f,
-                "communicator member {member} does not exist on a {size}-rank machine"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CommError {}
-
 /// An ordered group of ranks supporting collective operations.
 ///
 /// The struct is a per-rank *handle*: every member constructs its own
@@ -140,21 +95,15 @@ impl<'a, T: Msg> Communicator<'a, T> {
     /// communicators with identical member lists used concurrently —
     /// e.g. the different fibers of a processor grid.
     ///
-    /// Panics on a bad member list; [`Communicator::try_new`] is the
-    /// non-panicking form.
+    /// Panics on a bad member list: a member id that does not exist on
+    /// the machine, a duplicate member, or a caller that is not a
+    /// member.
     pub fn new(rank: &'a Rank<T>, members: Vec<RankId>, ctx: u32) -> Self {
-        Communicator::try_new(rank, members, ctx).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking constructor: a malformed member list (caller not a
-    /// member, duplicate entries, nonexistent rank ids) is reported as a
-    /// [`CommError`] instead of aborting the rank.
-    pub fn try_new(rank: &'a Rank<T>, members: Vec<RankId>, ctx: u32) -> Result<Self, CommError> {
         if let Some(&bad) = members.iter().find(|&&m| m >= rank.size()) {
-            return Err(CommError::UnknownRank {
-                member: bad,
-                size: rank.size(),
-            });
+            panic!(
+                "communicator member {bad} does not exist on a {}-rank machine",
+                rank.size()
+            );
         }
         if members
             .iter()
@@ -162,21 +111,21 @@ impl<'a, T: Msg> Communicator<'a, T> {
             .len()
             != members.len()
         {
-            return Err(CommError::DuplicateMember { members });
+            panic!("duplicate members in communicator: {members:?}");
         }
         let Some(me) = members.iter().position(|&m| m == rank.id()) else {
-            return Err(CommError::NotAMember {
-                rank: rank.id(),
-                members,
-            });
+            panic!(
+                "rank {} constructing a communicator it is not a member of: {members:?}",
+                rank.id()
+            );
         };
-        Ok(Communicator {
+        Communicator {
             rank,
             members,
             me,
             ctx,
             seq: Cell::new(0),
-        })
+        }
     }
 
     /// A communicator over all ranks of the machine.
@@ -779,22 +728,26 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_bad_member_lists_as_errors() {
-        let r = Machine::run::<f64, _, _>(2, MachineConfig::default(), |rank| {
-            let not_member = Communicator::try_new(rank, vec![1 - rank.id()], 0).err();
-            let dup = Communicator::try_new(rank, vec![rank.id(), rank.id()], 0).err();
-            let unknown = Communicator::try_new(rank, vec![rank.id(), 7], 0).err();
-            let ok = Communicator::try_new(rank, vec![0, 1], 0).is_ok();
-            (not_member, dup, unknown, ok)
-        });
-        let (nm, dup, unk, ok) = &r.results[0];
-        assert!(matches!(nm, Some(CommError::NotAMember { rank: 0, .. })));
-        assert!(matches!(dup, Some(CommError::DuplicateMember { .. })));
-        assert!(matches!(
-            unk,
-            Some(CommError::UnknownRank { member: 7, size: 2 })
-        ));
-        assert!(ok);
+    fn bad_member_lists_panic_with_their_messages() {
+        let failure = |members: fn(usize) -> Vec<usize>| {
+            let err = Machine::try_run::<f64, _, _>(2, MachineConfig::default(), |rank| {
+                let _ = Communicator::new(rank, members(rank.id()), 0);
+            })
+            .expect_err("a bad member list fails the run");
+            err.failures[0].message.clone()
+        };
+        assert_eq!(
+            failure(|me| vec![1 - me]),
+            "rank 0 constructing a communicator it is not a member of: [1]"
+        );
+        assert_eq!(
+            failure(|me| vec![me, me]),
+            "duplicate members in communicator: [0, 0]"
+        );
+        assert_eq!(
+            failure(|me| vec![me, 7]),
+            "communicator member 7 does not exist on a 2-rank machine"
+        );
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //!   An overflow faults on the guard page instead of corrupting a
 //!   neighbour.
 //!
+//! Stacks are pooled per host thread. When a `run_all` ends (or
+//! unwinds), the stack of every coroutine that finished or never
+//! started goes back to a thread-local free list of at most
+//! [`POOL_CAP`] stacks, and the next `run_all` on that thread takes its
+//! stacks from that list before it maps fresh ones. When the rank count
+//! repeats, rank *i* gets back the stack it used last. Stacks beyond
+//! the cap are unmapped at once (a `P = 4096` sweep still maps most of
+//! its stacks), and the pool's own stacks are unmapped at thread exit.
+//! A stack that a host panic left suspended is leaked, never pooled.
+//!
 //! Panics never cross the trampoline: the body runs under
 //! `catch_unwind` inside its coroutine (the machine's rank closure
 //! catches first; this layer aborts if one ever escapes it).
@@ -31,7 +41,7 @@
 //! Compiled only on `linux` + `x86_64`; elsewhere the event backend
 //! keeps its portable park/unpark gate over OS threads.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
 use std::ptr::{addr_of_mut, null_mut};
 
@@ -39,6 +49,13 @@ use std::ptr::{addr_of_mut, null_mut};
 /// spawned threads, so no rank body gets less stack than a rank thread
 /// had. Only touched pages are ever backed by memory.
 const STACK_SIZE: usize = 2 << 20;
+
+/// Most stacks one host thread keeps for reuse: the largest machine a
+/// recurring workload runs (the `P = 64` network passes; serving runs
+/// `P = 4`), so those runs map no stack after their first. A pooled
+/// stack keeps only the pages its last body touched resident, and the
+/// cap bounds the pool's address space at 128 MiB per host thread.
+const POOL_CAP: usize = 64;
 
 /// Guard region below each stack. x86-64 Linux pages are 4 KiB, and
 /// Rust's stack probes touch every page of a large frame, so a single
@@ -139,18 +156,31 @@ struct Fiber<F> {
     ctx: Context,
     /// Taken by `fiber_main` on first resume.
     body: Option<F>,
-    /// `None` only while being leaked by `Drop`.
+    /// `None` only inside `Drop`.
     stack: Option<Stack>,
 }
 
 impl<F> Drop for Fiber<F> {
     fn drop(&mut self) {
+        let Some(stack) = self.stack.take() else {
+            return;
+        };
         if self.body.is_none() && !self.ctx.done {
             // Started but suspended for good (the host loop panicked):
             // its frames may still own or pin values that something
-            // references. Leak the mapping rather than free memory
-            // under them.
-            std::mem::forget(self.stack.take());
+            // references. Leak the mapping rather than free or reuse
+            // memory under them.
+            std::mem::forget(stack);
+        } else {
+            // Nothing lives on a finished or never-started stack.
+            // During thread teardown the pool may be gone already; the
+            // stack is then unmapped here.
+            let _ = POOL.try_with(|pool| {
+                let mut pool = pool.borrow_mut();
+                if pool.len() < POOL_CAP {
+                    pool.push(stack);
+                }
+            });
         }
     }
 }
@@ -158,6 +188,15 @@ impl<F> Drop for Fiber<F> {
 thread_local! {
     /// The coroutine running on this thread (null on a host stack).
     static CURRENT: Cell<*mut Context> = const { Cell::new(null_mut()) };
+    /// This thread's free stacks, most recently returned last.
+    static POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `n` stacks for one `run_all`: the pool's last `n` in the order they
+/// were returned, then fresh mappings.
+fn take_stacks(n: usize) -> impl Iterator<Item = Stack> {
+    let pooled = POOL.with_borrow_mut(|pool| pool.split_off(pool.len().saturating_sub(n)));
+    pooled.into_iter().chain(std::iter::repeat_with(Stack::new))
 }
 
 /// Run every body as a coroutine on the calling thread. `pick` names
@@ -166,25 +205,30 @@ thread_local! {
 /// which the caller must only do after every body returned — this
 /// panics otherwise.
 pub(crate) fn run_all<F: FnOnce()>(bodies: Vec<F>, mut pick: impl FnMut() -> Option<usize>) {
+    let stacks = take_stacks(bodies.len());
     let mut fibers: Vec<Fiber<F>> = bodies
         .into_iter()
-        .map(|body| Fiber {
+        .zip(stacks)
+        .map(|(body, stack)| Fiber {
             ctx: Context {
                 sp: 0,
                 host_sp: 0,
                 done: false,
             },
             body: Some(body),
-            stack: Some(Stack::new()),
+            stack: Some(stack),
         })
         .collect();
     // The vector is final: its buffer never moves again, so pointers
-    // into it stay valid until it drops after the loop.
+    // into it stay valid until it drops after the loop. It drops its
+    // fibers in rank order, so their stacks return to the pool in the
+    // order `take_stacks` hands them out again.
     let n = fibers.len();
     let base = fibers.as_mut_ptr();
     for i in 0..n {
-        // SAFETY: `i` is in bounds; the stack is fresh and exclusively
-        // ours, and the nine words written lie inside its top page.
+        // SAFETY: `i` is in bounds; the stack is exclusively ours (fresh,
+        // or pooled after its last coroutine finished), and the nine
+        // words written lie inside its top page.
         unsafe {
             let fiber = base.add(i);
             let top = (*fiber).stack.as_ref().expect("stack").top();
@@ -354,12 +398,96 @@ mod tests {
         );
     }
 
+    /// Address of a local in the caller's frame: equal across runs
+    /// exactly when the same code runs on the same stack.
+    #[inline(never)]
+    fn local_addr() -> usize {
+        let marker = 0u8;
+        std::hint::black_box(&marker) as *const u8 as usize
+    }
+
+    fn pooled(addr: usize) -> bool {
+        POOL.with_borrow(|pool| {
+            pool.iter()
+                .any(|s| (s.base as usize..s.top() as usize).contains(&addr))
+        })
+    }
+
+    /// Run `n` bodies to completion in rank order; each records the
+    /// address of a local on its stack.
+    fn stack_addrs(n: usize) -> Vec<usize> {
+        let addrs = std::cell::RefCell::new(vec![0; n]);
+        let bodies: Vec<_> = (0..n)
+            .map(|i| {
+                let addrs = &addrs;
+                move || addrs.borrow_mut()[i] = local_addr()
+            })
+            .collect();
+        let mut order = 0..n;
+        run_all(bodies, || order.next());
+        addrs.into_inner()
+    }
+
+    #[test]
+    fn consecutive_runs_reuse_their_stacks_rank_by_rank() {
+        let first = stack_addrs(5);
+        assert!(first.iter().all(|&a| pooled(a)));
+        assert_eq!(stack_addrs(5), first);
+    }
+
+    #[test]
+    fn the_pool_never_holds_more_than_its_cap() {
+        let addrs = stack_addrs(POOL_CAP + 3);
+        assert_eq!(POOL.with_borrow(Vec::len), POOL_CAP);
+        assert!(addrs[..POOL_CAP].iter().all(|&a| pooled(a)));
+        assert!(!addrs[POOL_CAP..].iter().any(|&a| pooled(a)));
+    }
+
+    #[test]
+    fn a_rank_panic_the_machine_catches_still_returns_its_stack() {
+        use crate::{Backend, Machine, MachineConfig};
+        let cfg = MachineConfig {
+            backend: Backend::Event,
+            ..MachineConfig::default()
+        };
+        let run = || {
+            let addrs = std::sync::Mutex::new(vec![0; 3]);
+            let out = Machine::try_run::<u8, _, _>(3, cfg, |rank| {
+                addrs.lock().unwrap()[rank.id()] = local_addr();
+                assert_ne!(rank.id(), 1, "rank 1 fails");
+            });
+            assert_eq!(out.err().map(|e| e.failures.len()), Some(1));
+            addrs.into_inner().unwrap()
+        };
+        let first = run();
+        assert!(pooled(first[1]));
+        assert_eq!(run(), first);
+    }
+
     #[test]
     #[should_panic(expected = "stopped with suspended ranks")]
     fn stopping_with_a_suspended_body_panics() {
-        let bodies: Vec<_> = (0..2).map(|_| suspend).collect();
+        // Body 0 finishes, body 1 stays suspended when the host stops.
+        let addrs = std::cell::RefCell::new([0; 2]);
+        let bodies: Vec<_> = (0..2)
+            .map(|i| {
+                let addrs = &addrs;
+                move || {
+                    addrs.borrow_mut()[i] = local_addr();
+                    if i == 1 {
+                        suspend();
+                    }
+                }
+            })
+            .collect();
         let mut order = vec![0, 1].into_iter();
-        run_all(bodies, || order.next());
+        let stopped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_all(bodies, || order.next())
+        }));
+        let [finished, suspended] = addrs.into_inner();
+        assert!(pooled(finished), "a finished stack returns to the pool");
+        assert!(!pooled(suspended), "a suspended stack is leaked");
+        std::panic::resume_unwind(stopped.expect_err("the host must stop with a panic"));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod memory;
 pub mod rank;
 pub mod stats;
 
-pub use comm::{BcastAlgo, CommError, Communicator, PendingBcast, PendingRecv};
+pub use comm::{BcastAlgo, Communicator, PendingBcast, PendingRecv};
 pub use event::Backend;
 pub use fault::{CrashAt, FaultPlan, FaultPlanError, Straggler, CRASH_MARKER, MAX_SEND_ATTEMPTS};
 pub use grid::CartGrid;

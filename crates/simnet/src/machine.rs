@@ -27,7 +27,9 @@ use std::time::Duration;
 pub struct MachineConfig {
     /// Per-rank memory capacity in elements (`None` = unmetered).
     pub mem_capacity: Option<u64>,
-    /// Deadlock-trap timeout for blocking receives.
+    /// Deadlock-trap timeout for blocking receives on the thread
+    /// backend, counted from a receive's first park. The event backend
+    /// detects deadlock exactly and never reads it.
     pub recv_timeout: Duration,
     /// α–β parameters for simulated-time reporting.
     pub cost: CostParams,

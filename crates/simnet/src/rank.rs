@@ -7,10 +7,12 @@
 //! `(source, tag)`; messages that arrive out of order are parked in an
 //! unexpected-message queue, preserving per-(src, tag) FIFO order.
 //!
-//! A receive that waits longer than the machine's configured timeout
-//! panics with a diagnostic — the simulator's deadlock trap. A mismatched
-//! collective or a wrong schedule therefore fails loudly instead of
-//! hanging the test suite.
+//! A receive that cannot complete panics with a diagnostic — the
+//! simulator's deadlock trap: on the thread backend once it has waited
+//! the machine's configured timeout, on the event backend as soon as
+//! the scheduler proves the deadlock. A mismatched collective or a
+//! wrong schedule therefore fails loudly instead of hanging the test
+//! suite.
 //!
 //! ## Fault-aware transport
 //!
@@ -49,7 +51,7 @@ use distconv_trace::{SpanEvent, SpanKind, Tracer};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Rank identifier: `0..P` within a [`crate::Machine`] run.
 pub type RankId = usize;
@@ -601,8 +603,10 @@ impl<T: Msg> Rank<T> {
     }
 
     /// Blocking receive of the next message from `src` with `tag`
-    /// (FIFO per `(src, tag)` pair). Panics after the machine's receive
-    /// timeout — the deadlock trap. Time spent here is recorded in the
+    /// (FIFO per `(src, tag)` pair). On the thread backend it panics
+    /// once it has waited the machine's receive timeout — the deadlock
+    /// trap; the event backend trips the same trap only when its
+    /// scheduler proves a deadlock. Time spent here is recorded in the
     /// machine's comm-wait counter.
     pub fn recv(&self, src: RankId, tag: Tag) -> Vec<T> {
         let start_ns = self.trace_now();
@@ -617,24 +621,28 @@ impl<T: Msg> Rank<T> {
     }
 
     /// Pull the next packet from the mailbox, blocking in the
-    /// backend-appropriate way: the thread backend waits on the channel
-    /// (bounded by the deadlock-trap timeout), the event backend yields
-    /// the floor to the scheduler until a message arrives. A scheduler
-    /// poison (provable deadlock) surfaces as `Timeout`, so both
-    /// backends trip the identical deadlock-trap panic at the caller.
-    fn blocking_pull(&self, remaining: Duration) -> Result<Packet<T>, RecvTimeoutError> {
-        let Some(sched) = &self.sched else {
-            return self.rx.recv_timeout(remaining);
-        };
+    /// backend-appropriate way when it is empty. The thread backend
+    /// waits on the channel until `deadline`, which the first park sets
+    /// to one receive timeout later. The event backend yields the floor
+    /// to the scheduler until a message arrives and never reads the
+    /// clock. A scheduler poison (provable deadlock) surfaces as
+    /// `Timeout`, so both backends trip the identical deadlock-trap
+    /// panic at the caller.
+    fn blocking_pull(&self, deadline: &mut Option<Instant>) -> Result<Packet<T>, RecvTimeoutError> {
         loop {
             match self.rx.try_recv() {
                 Ok(pkt) => return Ok(pkt),
                 Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    if sched.yield_blocked(self.id, self.clock.get()).is_err() {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                }
+                Err(TryRecvError::Empty) => {}
+            }
+            let Some(sched) = &self.sched else {
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
+                return self
+                    .rx
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()));
+            };
+            if sched.yield_blocked(self.id, self.clock.get()).is_err() {
+                return Err(RecvTimeoutError::Timeout);
             }
         }
     }
@@ -684,12 +692,15 @@ impl<T: Msg> Rank<T> {
     }
 
     /// Block until the packet a receive of `(src, tag)` takes arrives.
-    /// Panics after the machine's receive timeout (the deadlock trap).
+    /// On the thread backend, panics once the machine's receive timeout
+    /// has passed since the receive first parked (the deadlock trap);
+    /// packets for other receives that arrive meanwhile do not move
+    /// that deadline. The event backend has no deadline: its scheduler
+    /// detects deadlock exactly.
     fn pull_match(&self, src: RankId, tag: Tag, expected: Option<u64>) -> Packet<T> {
-        let deadline = std::time::Instant::now() + self.timeout;
+        let mut deadline = None;
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.blocking_pull(remaining) {
+            match self.blocking_pull(&mut deadline) {
                 Ok(pkt) => {
                     let Some(pkt) = self.ingest(pkt) else {
                         continue;
@@ -859,6 +870,42 @@ mod tests {
                 let _ = rank.recv(1, 42);
             }
         });
+    }
+
+    #[test]
+    fn other_traffic_does_not_postpone_the_deadlock_trap() {
+        // Rank 1 sends a wrong-tag packet every 10 ms for 300 ms while
+        // rank 0 waits for a tag nobody sends: the trap still fires
+        // about one 50 ms timeout after the receive first parked. Only
+        // the thread backend has a receive deadline.
+        let cfg = MachineConfig {
+            recv_timeout: Duration::from_millis(50),
+            backend: crate::Backend::Thread,
+            ..MachineConfig::default()
+        };
+        // Holds rank 0's mailbox open until the sender is through.
+        let both_done = std::sync::Barrier::new(2);
+        let report = Machine::run::<u8, _, _>(2, cfg, |rank| {
+            if rank.id() == 1 {
+                for _ in 0..30 {
+                    rank.send(0, 7, &[0]);
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                both_done.wait();
+                return None;
+            }
+            let t0 = std::time::Instant::now();
+            let trap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rank.recv(1, 42)));
+            let waited = t0.elapsed();
+            both_done.wait();
+            Some((trap.is_err(), waited))
+        });
+        let (trapped, waited) = report.results[0].expect("rank 0 reports");
+        assert!(trapped, "the receive must trip the deadlock trap");
+        assert!(
+            waited >= Duration::from_millis(50) && waited < Duration::from_millis(250),
+            "trap after {waited:?}, want about 50 ms"
+        );
     }
 
     #[test]
