@@ -7,13 +7,13 @@
 //! answer.
 
 use super::{run_layer, run_layer_recovering};
-use crate::table::{fnum, inum, Table};
+use crate::table::{inum, Table};
 use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
-use distconv_simnet::{FaultPlan, MachineConfig};
+use distconv_simnet::{CostParams, FaultPlan, MachineConfig};
 use std::time::Duration;
 
 /// One pinned seed for the whole sweep: every row is reproducible, and
-/// the chaos CI job replays exactly this table.
+/// `tests/goldens/faults.txt` pins exactly this table.
 pub const E13_FAULT_SEED: u64 = 0xC0DE_FA17;
 
 /// **E13 / fault sweep**: one layer, one grid, a ladder of fault plans.
@@ -27,7 +27,7 @@ pub fn e13_fault_sweep() -> Table {
             "dropped",
             "acks",
             "dups",
-            "makespan",
+            "makespan (us)",
             "recovered",
             "retry elems",
         ],
@@ -43,9 +43,10 @@ pub fn e13_fault_sweep() -> Table {
         ("drop 10%", FaultPlan::reliable(s).with_drops(0.10)),
         ("drop 30%", FaultPlan::reliable(s).with_drops(0.30)),
         ("dup 20%", FaultPlan::reliable(s).with_dups(0.20)),
+        // `delay_skew` is in simulated seconds: five message latencies.
         (
             "delay 20% ×5α",
-            FaultPlan::reliable(s).with_delays(0.20, 5.0),
+            FaultPlan::reliable(s).with_delays(0.20, 5.0 * CostParams::default().alpha),
         ),
         ("reorder 20%", FaultPlan::reliable(s).with_reorders(0.20)),
         (
@@ -98,7 +99,7 @@ pub fn e13_fault_sweep() -> Table {
             inum(f.dropped_msgs as u128),
             inum(f.ack_msgs as u128),
             inum(f.dup_msgs as u128),
-            fnum(r.makespan),
+            format!("{:.2}", r.makespan * 1e6),
             if rec.recovered() {
                 format!("yes ({}x)", rec.attempts)
             } else {

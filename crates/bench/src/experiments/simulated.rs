@@ -9,7 +9,7 @@ use distconv_baselines::{
 };
 use distconv_conv::gvm::GvmExecutor;
 use distconv_conv::kernels::workload;
-use distconv_core::{execute, expected_volumes, RunOptions};
+use distconv_core::expected_volumes;
 use distconv_cost::exact::{constant_gap, eq3_cost_int};
 use distconv_cost::simplified::InnerLoop;
 use distconv_cost::{
@@ -326,8 +326,9 @@ pub fn e9_baselines() -> Table {
 
 /// **E9 (analytic, full scale)**: ResNet-50 / VGG-16 layers at training
 /// scale — per-step communication of distconv (Eq. 10) vs data-parallel
-/// gradient all-reduce, across `P`.
-pub fn e9_baselines_analytic(nb: usize) -> Table {
+/// gradient all-reduce, across `P`, at batch 32.
+pub fn e9_baselines_analytic() -> Table {
+    let nb = 32;
     let mut t = Table::new(
         format!("E9b — full-scale analytic: per-step volume/processor, batch {nb}"),
         &[
@@ -415,19 +416,6 @@ pub fn e10_scaling() -> Table {
     }
     t.note("volumes are per rank; sim time uses the default α–β parameters (1 µs, 100 Gb/s).");
     t
-}
-
-/// Convenience: verify E6's core invariant once for an arbitrary plan —
-/// used by integration tests.
-pub fn check_volume_invariant(p: Conv2dProblem, procs: usize, mem: usize, seed: u64) -> bool {
-    let Ok(plan) = Planner::new(p, MachineSpec::new(procs, mem)).plan() else {
-        return false;
-    };
-    let cfg = MachineConfig::default();
-    let Ok(r) = execute::<f64>(&plan.into(), seed, cfg, RunOptions::default()) else {
-        return false;
-    };
-    r.report.measured_total() == expected_volumes(&plan).total()
 }
 
 /// **E11 / α–β time**: the volume metric is network-agnostic; time is

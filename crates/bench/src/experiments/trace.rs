@@ -168,7 +168,7 @@ mod tests {
     use super::*;
 
     /// The schema text as committed — kept in sync by the CI step that
-    /// validates `repro_trace --schema tests/goldens/trace_schema.json`.
+    /// validates `repro trace --schema tests/goldens/trace_schema.json`.
     const SCHEMA: &str = include_str!("../../../../tests/goldens/trace_schema.json");
 
     #[test]

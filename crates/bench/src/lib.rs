@@ -3,9 +3,9 @@
 //! Experiment drivers for every table/figure in the reproduction (see
 //! DESIGN.md §4 for the experiment index, EXPERIMENTS.md for recorded
 //! results). Each `eN_*` function runs one experiment and returns a
-//! printable [`table::Table`]; the `repro_*` binaries in `src/bin/`
-//! are thin wrappers, and the wall-clock benches in `benches/` (built
-//! on [`wallbench`]) time the hot paths.
+//! printable [`table::Table`]. The `repro` binary prints them by id, each
+//! id's output pinned by `tests/goldens/<id>.txt`; the wall-clock benches
+//! in `benches/` (built on [`wallbench`]) time the hot paths.
 
 #![warn(missing_docs)]
 
